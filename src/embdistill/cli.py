@@ -136,7 +136,8 @@ def _write_samples(path, samples) -> None:
             fh.write(f"{s.label}\t{' '.join(str(int(t)) for t in s.tokens)}\n")
 
 
-def _read_samples(path) -> list[Sample]:
+def _read_samples(path, vocab_size: int) -> list[Sample]:
+    """Prepared samples whose token ids all index a ``vocab_size`` table."""
     samples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -145,11 +146,17 @@ def _read_samples(path) -> list[Sample]:
                 continue
             try:
                 label_text, tokens_text = line.split("\t")
-                samples.append(
-                    Sample(np.array([int(t) for t in tokens_text.split()]), int(label_text))
-                )
+                ids = [int(t) for t in tokens_text.split()]
+                sample = Sample(np.array(ids), int(label_text))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed sample line") from None
+            if min(ids) < 0 or max(ids) >= vocab_size:
+                bad = next(t for t in ids if not 0 <= t < vocab_size)
+                raise DataError(
+                    f"{path}:{lineno}: token id {bad} outside the vocabulary "
+                    f"of {vocab_size} tokens"
+                )
+            samples.append(sample)
     return samples
 
 
@@ -162,11 +169,24 @@ def _read_vocab_file(path) -> Vocabulary:
 def _load_prepared(data_dir, train_file: str = "train.samples") -> DatasetSplits:
     vocab = _read_vocab_file(os.path.join(data_dir, "vocab.txt"))
     return DatasetSplits(
-        train=_read_samples(os.path.join(data_dir, train_file)),
-        valid=_read_samples(os.path.join(data_dir, "valid.samples")),
-        test=_read_samples(os.path.join(data_dir, "test.samples")),
+        train=_read_samples(os.path.join(data_dir, train_file), len(vocab)),
+        valid=_read_samples(os.path.join(data_dir, "valid.samples"), len(vocab)),
+        test=_read_samples(os.path.join(data_dir, "test.samples"), len(vocab)),
         vocab=vocab,
     )
+
+
+def _prepared_split(data_dir, file_name: str, *models) -> list[Sample]:
+    """One prepared sample file, checked against the data's vocabulary
+    and the vocabulary of every model that will read it."""
+    vocab = _read_vocab_file(os.path.join(data_dir, "vocab.txt"))
+    for model in models:
+        if len(vocab) != len(model.embedding.vocab):
+            raise ConfigError(
+                f"model vocabulary ({len(model.embedding.vocab)}) does not match "
+                f"prepared data ({len(vocab)})"
+            )
+    return _read_samples(os.path.join(data_dir, file_name), len(vocab))
 
 
 def cmd_prepare(args) -> int:
@@ -427,8 +447,8 @@ def cmd_teacher(args) -> int:
 def cmd_soft_targets(args) -> int:
     data_dir = _require(args, "data")
     train_file = _SENTENCE_TRAIN if bool(_merged(args, "sentences_only", False)) else "train.samples"
-    samples = _read_samples(os.path.join(data_dir, train_file))
     teacher = load_model(_require(args, "teacher"))
+    samples = _prepared_split(data_dir, train_file, teacher)
     temperature = float(_merged(args, "temperature", 2.0))
     targets = generate_soft_targets(teacher, samples, temperature)
     out = _out_dir(args)
@@ -454,13 +474,7 @@ def cmd_eval(args) -> int:
     split = _merged(args, "split", "test")
     if split not in _SPLIT_FILES:
         raise ConfigError(f"unknown split {split!r}, expected one of {sorted(_SPLIT_FILES)}")
-    samples = _read_samples(os.path.join(data_dir, _SPLIT_FILES[split]))
-    vocab = _read_vocab_file(os.path.join(data_dir, "vocab.txt"))
-    if len(vocab) != len(model.embedding.vocab):
-        raise ConfigError(
-            f"model vocabulary ({len(model.embedding.vocab)}) does not match "
-            f"prepared data ({len(vocab)})"
-        )
+    samples = _prepared_split(data_dir, _SPLIT_FILES[split], model)
     acc = evaluate_accuracy(model, samples)
     print(f"{split} accuracy: {acc:.6f} ({len(samples)} samples)")
     return 0
@@ -471,14 +485,39 @@ def cmd_eval(args) -> int:
 _MIN_REP_SECONDS = 0.1
 
 
-def _time_pass(model, samples, loops: int = 1) -> float:
-    """Seconds for one inference sweep over the corpus (averaged over
-    ``loops`` back-to-back sweeps)."""
+def _predict_each(model, samples) -> None:
+    """The deployed use: one ``predict`` call per sample."""
+    for s in samples:
+        predict(model, s)
+
+
+def _time_pass(sweep, model, samples, loops: int = 1) -> float:
+    """Seconds for one ``sweep(model, samples)`` over the corpus
+    (averaged over ``loops`` back-to-back sweeps)."""
     start = time.perf_counter()
     for _ in range(loops):
-        for s in samples:
-            predict(model, s)
+        sweep(model, samples)
     return (time.perf_counter() - start) / loops
+
+
+def _median_seconds(sweep, large, small, samples, reps: int) -> tuple[float, float]:
+    """Median seconds per sweep of each model.
+
+    Warm-up passes double as probes that size the repetitions; each rep
+    then measures in palindrome order (large, small, small, large) so
+    clock drift and measurement-slot bias cancel for both models.
+    """
+    probe = min(_time_pass(sweep, large, samples), _time_pass(sweep, small, samples))
+    loops = max(1, int(np.ceil(_MIN_REP_SECONDS / max(probe, 1e-9))))
+    large_times, small_times = [], []
+    for _ in range(reps):
+        first = _time_pass(sweep, large, samples, loops)
+        inner_a = _time_pass(sweep, small, samples, loops)
+        inner_b = _time_pass(sweep, small, samples, loops)
+        last = _time_pass(sweep, large, samples, loops)
+        large_times.append((first + last) / 2.0)
+        small_times.append((inner_a + inner_b) / 2.0)
+    return float(np.median(large_times)), float(np.median(small_times))
 
 
 def cmd_bench(args) -> int:
@@ -489,28 +528,23 @@ def cmd_bench(args) -> int:
     split = _merged(args, "split", "test")
     if split not in _SPLIT_FILES:
         raise ConfigError(f"unknown split {split!r}")
-    samples = _read_samples(os.path.join(data_dir, _SPLIT_FILES[split]))
     large = load_model(_require(args, "large"))
     small = load_model(_require(args, "small"))
-    # warm-up passes double as probes that size the repetitions; each
-    # rep then measures in palindrome order (large, small, small, large)
-    # so clock drift and measurement-slot bias cancel for both models
-    probe = min(_time_pass(large, samples), _time_pass(small, samples))
-    loops = max(1, int(np.ceil(_MIN_REP_SECONDS / max(probe, 1e-9))))
-    large_times, small_times = [], []
-    for _ in range(reps):
-        first = _time_pass(large, samples, loops)
-        inner_a = _time_pass(small, samples, loops)
-        inner_b = _time_pass(small, samples, loops)
-        last = _time_pass(large, samples, loops)
-        large_times.append((first + last) / 2.0)
-        small_times.append((inner_a + inner_b) / 2.0)
-    large_sec = float(np.median(large_times))
-    small_sec = float(np.median(small_times))
+    samples = _prepared_split(data_dir, _SPLIT_FILES[split], large, small)
+    # per-sample predict is what a deployed model serves; a batched
+    # evaluate_accuracy sweep shows the layer math without most of the
+    # per-call interpreter overhead
+    large_sec, small_sec = _median_seconds(_predict_each, large, small, samples, reps)
+    large_batched, small_batched = _median_seconds(
+        evaluate_accuracy, large, small, samples, reps
+    )
     payload = {
         "large_seconds": large_sec,
         "small_seconds": small_sec,
         "relative_time": small_sec / large_sec,
+        "large_seconds_batched": large_batched,
+        "small_seconds_batched": small_batched,
+        "relative_time_batched": small_batched / large_batched,
         "reps": reps,
         "corpus_size": len(samples),
         "large_parameters": count_parameters(large),
@@ -520,9 +554,22 @@ def cmd_bench(args) -> int:
     if out is not None:
         _dump_json(payload, out)
     print(f"large: {large_sec:.4f}s  small: {small_sec:.4f}s  "
-          f"relative time: {payload['relative_time']:.4f}x "
+          f"relative time: {payload['relative_time']:.4f}x per-sample predict, "
+          f"{payload['relative_time_batched']:.4f}x batched "
           f"(median of {reps} reps over {len(samples)} samples)")
     return 0
+
+
+def _read_json(path) -> dict:
+    """A JSON object from a result or bench file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return payload
 
 
 def cmd_compare(args) -> int:
@@ -532,8 +579,7 @@ def cmd_compare(args) -> int:
     results = []
     seen = set()
     for path in result_paths:
-        with open(path, encoding="utf-8") as fh:
-            res = json.load(fh)
+        res = _read_json(path)
         tag = res.get("regime")
         if tag in seen:
             raise ConfigError(f"duplicate result for regime {tag!r}")
@@ -542,9 +588,13 @@ def cmd_compare(args) -> int:
     bench = None
     bench_path = _merged(args, "bench")
     if bench_path is not None:
-        with open(bench_path, encoding="utf-8") as fh:
-            bench = json.load(fh)
-    report = build_report(results, bench)
+        bench = _read_json(bench_path)
+    try:
+        report = build_report(results, bench)
+    except (KeyError, TypeError) as exc:
+        raise DataError(
+            f"malformed result or bench file ({type(exc).__name__}: {exc})"
+        ) from None
     out = _out_dir(args)
     tsv = format_tsv(report)
     txt = format_text(report)

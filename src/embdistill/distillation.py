@@ -23,6 +23,7 @@ from .model import (
     REGIME_DIRECT,
     REGIME_ENCODING,
     backward_from_logit_grad,
+    class_distributions,
     count_parameters,
     forward,
 )
@@ -123,15 +124,12 @@ def generate_soft_targets(
 ) -> SoftTargetSet:
     """Teacher output distribution per sample at the given temperature.
 
-    The teacher stays frozen; targets are computed once, up front.
+    The teacher stays frozen; targets are computed once, up front, a
+    chunk of samples per forward pass.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    rows = np.empty((len(samples), teacher.config.n_classes))
-    for i, sample in enumerate(samples):
-        y, _ = forward(teacher, sample, temperature=temperature)
-        rows[i] = y
-    return SoftTargetSet(temperature, rows)
+    return SoftTargetSet(temperature, class_distributions(teacher, samples, temperature))
 
 
 def mixed_loss(
@@ -139,8 +137,9 @@ def mixed_loss(
     y_student_temp: np.ndarray,
     t_onehot: np.ndarray,
     y_teacher_temp: np.ndarray,
-) -> float:
-    """1:1 mixture of ground-truth and teacher-matching cross-entropy."""
+) -> float | np.ndarray:
+    """1:1 mixture of ground-truth and teacher-matching cross-entropy
+    (one value per row for a batch)."""
     return cross_entropy(y_student_t1, t_onehot) + cross_entropy(
         y_student_temp, y_teacher_temp
     )
@@ -148,7 +147,8 @@ def mixed_loss(
 
 @dataclass
 class MatchingSoftmaxObjective:
-    """Per-sample loss/gradient for soft-target matching.
+    """Training objective for soft-target matching: per-sample losses and
+    the gradients of their mean over a batch.
 
     Both branches share one forward pass: the ground-truth term reads
     the logits at temperature 1, the teacher term at the soft-target
@@ -157,20 +157,20 @@ class MatchingSoftmaxObjective:
 
     soft_targets: SoftTargetSet
 
-    def __call__(self, model, sample, index, rng, dropout_rate):
+    def __call__(self, model, samples, indices, rng, dropout_rate):
         y1, cache = forward(
-            model, sample, temperature=1.0, train_mode=True, rng=rng,
+            model, samples, temperature=1.0, train_mode=True, rng=rng,
             dropout_rate=dropout_rate,
         )
         temp = self.soft_targets.temperature
         y_temp = softmax_t(cache.logits, temp)
-        target = one_hot(sample.label, model.config.n_classes)
-        teacher_row = self.soft_targets.targets[index]
-        loss = mixed_loss(y1, y_temp, target, teacher_row)
-        dz = softmax_ce_backward(cache.logits, target, 1.0) + softmax_ce_backward(
-            cache.logits, teacher_row, temp
+        targets = one_hot([s.label for s in samples], model.config.n_classes)
+        teacher_rows = self.soft_targets.targets[indices]
+        losses = mixed_loss(y1, y_temp, targets, teacher_rows)
+        dz = softmax_ce_backward(cache.logits, targets, 1.0) + softmax_ce_backward(
+            cache.logits, teacher_rows, temp
         )
-        return loss, backward_from_logit_grad(model, cache, dz)
+        return losses, backward_from_logit_grad(model, cache, dz / len(cache.batch))
 
 
 def train_teacher(

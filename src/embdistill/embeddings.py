@@ -2,6 +2,9 @@
 
 A table stores one column per vocabulary word, so looking a word up is
 the same thing as multiplying the matrix by that word's one-hot vector.
+Tables that train are kept Fortran-ordered (word-major): ``matrix.T`` is
+then a C-contiguous (|V|, dim) block whose rows are word vectors, which
+is what batched gathers and row updates read and write.
 The encoding layer squashes those columns into a lower-dimensional
 space; ``fold`` bakes the layer into a small replacement table so the
 large table and the layer itself can be dropped at deployment.
@@ -72,7 +75,8 @@ class EmbeddingTable:
         return self.matrix.shape[0]
 
     def copy(self) -> "EmbeddingTable":
-        return type(self)(self.vocab, self.matrix.copy())
+        # np.copy keeps the memory layout; ndarray.copy would make it C order
+        return type(self)(self.vocab, np.copy(self.matrix))
 
 
 class DistilledTable(EmbeddingTable):
@@ -121,8 +125,14 @@ class EncoderLayer:
         return cls(w, np.zeros(n_distill))
 
     def encode_columns(self, columns: np.ndarray) -> np.ndarray:
-        """Apply the layer to every column of a (n_embed, k) block."""
-        return np.tanh(self.w_encode @ columns + self.b_encode[:, None])
+        """Apply the layer to every column of a (n_embed, k) block.
+
+        The (n_distill, k) result is Fortran-ordered: its transpose holds
+        one encoded word per row.
+        """
+        encoded = columns.T @ self.w_encode.T
+        encoded += self.b_encode
+        return np.tanh(encoded, out=encoded).T
 
     def copy(self) -> "EncoderLayer":
         return EncoderLayer(self.w_encode.copy(), self.b_encode.copy())
@@ -162,10 +172,11 @@ def fold(enc: EncoderLayer, table: EmbeddingTable) -> DistilledTable:
 def init_random_table(
     vocab: Vocabulary, dim: int, scale: float, rng: np.random.Generator
 ) -> EmbeddingTable:
-    """Table with i.i.d. uniform entries in [-scale, scale]."""
+    """Word-major table with i.i.d. uniform entries in [-scale, scale]."""
     if scale <= 0:
         raise ConfigError(f"init scale must be > 0, got {scale}")
-    return EmbeddingTable(vocab, rng.uniform(-scale, scale, size=(dim, len(vocab))))
+    draw = rng.uniform(-scale, scale, size=(dim, len(vocab)))
+    return EmbeddingTable(vocab, np.asfortranarray(draw))
 
 
 def align_to_vocab(

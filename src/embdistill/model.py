@@ -5,15 +5,22 @@ When an encoder is attached, every word vector passes through it before
 pooling, so the big look-up table and the encoder train jointly with
 the classifier.  A folded model carries a small table instead and no
 encoder; predictions are identical.
+
+Forward and backward passes work on a batch: the samples' token ids laid
+end to end with each sample's start and length, no padding.  A single
+``Sample`` is a batch of one whose per-sample outputs are 1-D.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
+from .data import Sample
 from .embeddings import (
     DistilledTable,
     EmbeddingTable,
@@ -36,6 +43,10 @@ REGIMES = (REGIME_DIRECT, REGIME_ENCODING, REGIME_MATCHING)
 
 _MDL_MAGIC = b"MDL1"
 _MDL_VERSION = 1
+
+# Prediction, evaluation and soft-target generation run this many
+# samples per forward pass, which bounds their temporaries.
+EVAL_CHUNK = 200
 
 
 @dataclass
@@ -170,7 +181,8 @@ class ClassifierModel:
         return params
 
     def snapshot(self) -> list[np.ndarray]:
-        return [a.copy() for _, a in self.named_parameters()]
+        # np.copy keeps each array's memory layout (the table is word-major)
+        return [np.copy(a) for _, a in self.named_parameters()]
 
     def restore(self, arrays: list[np.ndarray]) -> None:
         for (_, a), saved in zip(self.named_parameters(), arrays):
@@ -190,13 +202,57 @@ class ClassifierModel:
         return m
 
 
+_FIRST = np.zeros(1, dtype=np.intp)
+_FIRST.flags.writeable = False
+
+
 @dataclass
-class ForwardCache:
-    """Intermediate values one backward pass needs."""
+class Batch:
+    """Samples laid end to end.
+
+    Sample i owns ``tokens[starts[i]:starts[i] + lengths[i]]``.
+    ``single`` marks one Sample passed on its own, whose per-sample
+    outputs drop the batch axis.
+    """
 
     tokens: np.ndarray
-    columns: np.ndarray          # embedding columns, (table_dim, k)
-    encoded: np.ndarray | None   # encoder outputs, (n_distill, k)
+    starts: np.ndarray
+    lengths: np.ndarray
+    single: bool
+
+    @classmethod
+    def of(cls, samples) -> "Batch":
+        """The batch of a sequence of samples, or of one Sample."""
+        if isinstance(samples, Sample):
+            tokens = np.asarray(samples.tokens)
+            if tokens.size == 0:
+                raise DataError("cannot classify an empty sample")
+            return cls(tokens, _FIRST, np.array([tokens.size]), True)
+        if len(samples) == 0:
+            raise DataError("cannot classify an empty batch")
+        lengths = np.array([s.tokens.size for s in samples])
+        if lengths.min() == 0:
+            raise DataError("cannot classify an empty sample")
+        starts = np.zeros_like(lengths)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        return cls(np.concatenate([s.tokens for s in samples]), starts, lengths, False)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+
+@dataclass
+class ForwardCache:
+    """Intermediate values one backward pass needs.
+
+    Per-sample arrays have one row per sample (1-D for a single Sample).
+    ``rows`` and ``encoded`` are set only when an encoder runs: the table
+    rows and encodings of the batch's distinct tokens, ids ascending.
+    """
+
+    batch: Batch
+    rows: np.ndarray | None      # (distinct tokens, table_dim)
+    encoded: np.ndarray | None   # (distinct tokens, n_distill)
     pool: np.ndarray
     hidden_act: np.ndarray       # tanh output before dropout
     mask: np.ndarray | None
@@ -211,139 +267,164 @@ class ForwardCache:
 class Gradients:
     """Gradients for every trainable parameter of one model.
 
-    Embedding gradients are kept sparse: only columns of words that
-    actually appeared carry entries.
+    The embedding gradient is one block: a row for each distinct token of
+    the batch, ids ascending.  Words that did not appear have no row.
     """
 
     hidden_w: np.ndarray
     hidden_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
-    encoder_w: np.ndarray | None = None
-    encoder_b: np.ndarray | None = None
-    embed_cols: dict[int, np.ndarray] = field(default_factory=dict)
+    encoder_w: np.ndarray | None
+    encoder_b: np.ndarray | None
+    embed_ids: np.ndarray
+    embed_rows: np.ndarray       # (len(embed_ids), table_dim)
 
-    @classmethod
-    def zeros_like(cls, model: ClassifierModel) -> "Gradients":
-        has_enc = model.encoder is not None
-        return cls(
-            np.zeros_like(model.hidden_w),
-            np.zeros_like(model.hidden_b),
-            np.zeros_like(model.out_w),
-            np.zeros_like(model.out_b),
-            np.zeros_like(model.encoder.w_encode) if has_enc else None,
-            np.zeros_like(model.encoder.b_encode) if has_enc else None,
-            {},
-        )
+    @property
+    def embed_cols(self) -> Mapping[int, np.ndarray]:
+        """Read-only {token id: gradient of its vector} view of the block."""
+        return MappingProxyType(dict(zip(self.embed_ids.tolist(), self.embed_rows)))
 
-    def add_(self, other: "Gradients") -> None:
-        self.hidden_w += other.hidden_w
-        self.hidden_b += other.hidden_b
-        self.out_w += other.out_w
-        self.out_b += other.out_b
-        if self.encoder_w is not None:
-            self.encoder_w += other.encoder_w
-            self.encoder_b += other.encoder_b
-        for col, g in other.embed_cols.items():
-            if col in self.embed_cols:
-                self.embed_cols[col] = self.embed_cols[col] + g
-            else:
-                self.embed_cols[col] = g.copy()
 
-    def scale_(self, s: float) -> None:
-        self.hidden_w *= s
-        self.hidden_b *= s
-        self.out_w *= s
-        self.out_b *= s
-        if self.encoder_w is not None:
-            self.encoder_w *= s
-            self.encoder_b *= s
-        for g in self.embed_cols.values():
-            g *= s
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """w @ x + b for a vector x, or for every row of a batch x.
+
+    A batch makes one matrix-vector product per row, the same one a
+    single sample makes, so a sample's result is the same bits whatever
+    else is in its batch; a matrix-matrix product may round each row
+    differently.
+    """
+    if x.ndim == 1:
+        return w @ x + b
+    return np.matmul(x[:, None, :], w.T)[:, 0] + b
+
+
+def _segment_sums(
+    rows: np.ndarray, index: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """One sum per segment: segment i adds ``rows[index[starts[i] + j]]``
+    for j < lengths[i], in j order.
+
+    That is the order in which ``ndarray.sum(axis=0)`` adds the rows of
+    one segment, so a segment's sum is the same bits alone or among any
+    others.  All segments add their j-th row in one step, longest
+    segments first.  (``np.add.reduceat`` adds pairwise with one strided
+    pass per column: three times the cost of a row sum for one 300-dim
+    sentence, and a pass per column even for segments of one row.)
+    """
+    if len(starts) == 1:
+        return rows[index[starts[0] : starts[0] + lengths[0]]].sum(axis=0, keepdims=True)
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    position = np.arange(lengths[0])[:, None]
+    present = position < lengths  # (positions, segments)
+    gathered = rows[index[(starts[order] + position)[present]]]
+    counts = np.count_nonzero(present, axis=1)
+    sums = gathered[: counts[0]]
+    end = counts[0]
+    for k in counts[1:].tolist():
+        sums[:k] += gathered[end : end + k]
+        end += k
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
 
 
 def forward(
     model: ClassifierModel,
-    sample,
+    samples,
     temperature: float = 1.0,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Class distribution for one sample plus the cache for backward.
+    """Class distributions for a batch plus the cache for backward.
 
-    Dropout (on the hidden layer output) is active only in train mode;
-    evaluation is deterministic.
+    ``samples`` is a sequence of samples (``y`` is (samples, classes)) or
+    one Sample (``y`` is 1-D).  Dropout (on the hidden layer output) is
+    active only in train mode; evaluation is deterministic.
     """
-    tokens = np.asarray(sample.tokens)
-    if tokens.size == 0:
-        raise DataError("cannot classify an empty sample")
-    columns = model.embedding.matrix[:, tokens]
+    batch = Batch.of(samples)
+    table = model.embedding.matrix.T  # one word vector per row
+    rows = encoded = None
     if model.encoder is not None:
-        encoded = model.encoder.encode_columns(columns)
-        features = encoded
+        # every distinct token is encoded once
+        ids, where = np.unique(batch.tokens, return_inverse=True)
+        rows = table[ids]
+        encoded = model.encoder.encode_columns(rows.T).T
+        pool = _segment_sums(encoded, where, batch.starts, batch.lengths)
     else:
-        encoded = None
-        features = columns
-    pool = features.mean(axis=1)
+        pool = _segment_sums(table, batch.tokens, batch.starts, batch.lengths)
+    pool /= batch.lengths[:, None]
+    if batch.single:
+        pool = pool[0]
 
-    pre_hidden = model.hidden_w @ pool + model.hidden_b
-    hidden_act = np.tanh(pre_hidden)
+    hidden_act = np.tanh(_dense(pool, model.hidden_w, model.hidden_b))
     rate = model.config.dropout_rate if dropout_rate is None else dropout_rate
     mask = None
     if train_mode and rate > 0.0:
         if rng is None:
             raise ConfigError("dropout in train mode needs a random generator")
-        mask = dropout_mask(hidden_act.size, rate, rng)
+        mask = dropout_mask(hidden_act.shape, rate, rng)
     hidden = hidden_act * mask if mask is not None else hidden_act
 
-    logits = model.out_w @ hidden + model.out_b
+    logits = _dense(hidden, model.out_w, model.out_b)
     y = softmax_t(logits, temperature)
     cache = ForwardCache(
-        tokens, columns, encoded, pool, hidden_act, mask, hidden,
+        batch, rows, encoded, pool, hidden_act, mask, hidden,
         logits, y, temperature, model.version,
     )
     return y, cache
 
 
+def _sum_by_token(batch: Batch, per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Give every token occurrence its sample's row of ``per_sample`` and
+    add the rows of equal tokens: (distinct ids ascending, summed rows)."""
+    owner = np.repeat(np.arange(len(batch)), batch.lengths)
+    order = np.argsort(batch.tokens, kind="stable")
+    ordered = batch.tokens[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(first, append=ordered.size)
+    return ordered[first], _segment_sums(per_sample, owner[order], first, sizes)
+
+
 def backward_from_logit_grad(
     model: ClassifierModel, cache: ForwardCache, dz: np.ndarray
 ) -> Gradients:
-    """Propagate a logit-space gradient down to every parameter."""
+    """Propagate a logit-space gradient down to every parameter.
+
+    ``dz`` has one row per sample (1-D for a single Sample).  The result
+    is the gradient of sum_i dz_i . logits_i, so a caller after the batch
+    mean passes ``dz`` divided by the batch size.
+    """
     if cache.model_version != model.version:
         raise StaleCacheError(
             "backward called with a cache from a previous parameter state"
         )
-    grads = Gradients.zeros_like(model)
-    grads.out_w = np.outer(dz, cache.hidden)
-    grads.out_b = dz.copy()
+    batch = cache.batch
+    dz = np.atleast_2d(dz)
+    hidden = np.atleast_2d(cache.hidden)
+    out_w = dz.T @ hidden
+    out_b = dz.sum(axis=0)
 
-    d_hidden = model.out_w.T @ dz
+    d_hidden = dz @ model.out_w
     if cache.mask is not None:
         d_hidden = d_hidden * cache.mask
-    d_pre_hidden = d_hidden * (1.0 - cache.hidden_act * cache.hidden_act)
-    grads.hidden_w = np.outer(d_pre_hidden, cache.pool)
-    grads.hidden_b = d_pre_hidden.copy()
+    hidden_act = np.atleast_2d(cache.hidden_act)
+    d_pre_hidden = d_hidden * (1.0 - hidden_act * hidden_act)
+    hidden_w = d_pre_hidden.T @ np.atleast_2d(cache.pool)
+    hidden_b = d_pre_hidden.sum(axis=0)
 
-    d_pool = model.hidden_w.T @ d_pre_hidden
-    k = cache.tokens.size
-    d_feature = d_pool / k  # mean pooling spreads the gradient evenly
+    # mean pooling spreads a sample's gradient evenly over its tokens
+    d_feature = (d_pre_hidden @ model.hidden_w) / batch.lengths[:, None]
+    ids, d_rows = _sum_by_token(batch, d_feature)
+    encoder_w = encoder_b = None
     if model.encoder is not None:
-        d_enc = np.repeat(d_feature[:, None], k, axis=1)
-        d_pre_enc = d_enc * (1.0 - cache.encoded * cache.encoded)
-        grads.encoder_w = d_pre_enc @ cache.columns.T
-        grads.encoder_b = d_pre_enc.sum(axis=1)
-        d_columns = model.encoder.w_encode.T @ d_pre_enc
-    else:
-        d_columns = np.repeat(d_feature[:, None], k, axis=1)
-
-    for j, token in enumerate(cache.tokens):
-        token = int(token)
-        if token in grads.embed_cols:
-            grads.embed_cols[token] = grads.embed_cols[token] + d_columns[:, j]
-        else:
-            grads.embed_cols[token] = d_columns[:, j].copy()
-    return grads
+        d_pre_enc = d_rows * (1.0 - cache.encoded * cache.encoded)
+        encoder_w = d_pre_enc.T @ cache.rows
+        encoder_b = d_pre_enc.sum(axis=0)
+        d_rows = d_pre_enc @ model.encoder.w_encode
+    return Gradients(hidden_w, hidden_b, out_w, out_b, encoder_w, encoder_b, ids, d_rows)
 
 
 def backward(
@@ -352,12 +433,15 @@ def backward(
     target: np.ndarray,
     temperature: float = 1.0,
 ) -> Gradients:
-    """Gradients of cross_entropy(softmax_t(logits, T), target).
+    """Gradients of the batch mean of cross_entropy(softmax_t(logits, T), target).
 
-    ``target`` may be one-hot or any distribution summing to 1.
+    ``target`` holds one distribution per sample, shaped like
+    ``cache.logits``: one-hot or any distribution summing to 1.
     """
-    dz = softmax_ce_backward(cache.logits, target, temperature)
-    return backward_from_logit_grad(model, cache, dz)
+    dz = softmax_ce_backward(
+        np.atleast_2d(cache.logits), np.atleast_2d(target), temperature
+    )
+    return backward_from_logit_grad(model, cache, dz / len(cache.batch))
 
 
 def sample_loss(model: ClassifierModel, sample, temperature: float = 1.0) -> float:
@@ -366,9 +450,25 @@ def sample_loss(model: ClassifierModel, sample, temperature: float = 1.0) -> flo
     return cross_entropy(y, one_hot(sample.label, model.config.n_classes))
 
 
-def predict(model: ClassifierModel, sample) -> int:
-    y, _ = forward(model, sample)
-    return int(np.argmax(y))
+def class_distributions(
+    model: ClassifierModel, samples, temperature: float = 1.0
+) -> np.ndarray:
+    """Evaluation-mode distributions, (samples, classes), computed
+    EVAL_CHUNK samples at a time."""
+    out = np.empty((len(samples), model.config.n_classes))
+    for start in range(0, len(samples), EVAL_CHUNK):
+        # index the result, so no chunk's cache outlives its forward pass
+        y = forward(model, samples[start : start + EVAL_CHUNK], temperature)[0]
+        out[start : start + len(y)] = y
+    return out
+
+
+def predict(model: ClassifierModel, samples):
+    """Argmax class of one Sample, or an array of them for a sequence."""
+    if isinstance(samples, Sample):
+        y, _ = forward(model, samples)
+        return int(y.argmax())
+    return np.argmax(class_distributions(model, samples), axis=1)
 
 
 def evaluate_accuracy(model: ClassifierModel, samples) -> float:
@@ -378,8 +478,8 @@ def evaluate_accuracy(model: ClassifierModel, samples) -> float:
     """
     if not samples:
         raise DataError("cannot evaluate on an empty sample list")
-    hits = sum(1 for s in samples if predict(model, s) == s.label)
-    return hits / len(samples)
+    labels = np.array([s.label for s in samples])
+    return int(np.count_nonzero(predict(model, samples) == labels)) / len(samples)
 
 
 def count_parameters(model: ClassifierModel) -> int:

@@ -1,9 +1,11 @@
 """Dense forward/backward primitives for the classifier and encoder.
 
-Matrices are 2-D float arrays, vectors 1-D.  Everything is computed in
-float64 in memory; the binary file formats downcast to float32 at the
-I/O boundary.  Functions here are pure: randomness always comes in
-through an explicit numpy Generator.
+Matrices are 2-D float arrays, vectors 1-D.  The softmax, loss and
+dropout functions also take a batch: a (samples, classes) or (samples,
+units) matrix, one row per sample, treated row by row.  Everything is
+computed in float64 in memory; the binary file formats downcast to
+float32 at the I/O boundary.  Functions here are pure: randomness always
+comes in through an explicit numpy Generator.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ class GradPair:
             )
 
 
-def one_hot(index: int, n: int) -> np.ndarray:
-    if not 0 <= index < n:
+def one_hot(index, n: int) -> np.ndarray:
+    """Indicator vector of ``index``; an array of indices gives one row each."""
+    index = np.asarray(index)
+    if np.any((index < 0) | (index >= n)):
         raise ConfigError(f"one_hot: index {index} outside [0, {n})")
-    t = np.zeros(n)
-    t[index] = 1.0
-    return t
+    return (index[..., None] == np.arange(n)).astype(float)
 
 
 def affine_forward(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,7 +93,8 @@ def tanh_backward(y_out: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 
 def softmax_t(z: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax, y_i = exp(z_i/T) / sum_j exp(z_j/T).
+    """Temperature softmax, y_i = exp(z_i/T) / sum_j exp(z_j/T), over the
+    last axis (each row of a batch on its own).
 
     Uses max subtraction so large logits (early training at high
     learning rates) cannot overflow.
@@ -99,43 +102,53 @@ def softmax_t(z: np.ndarray, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise ConfigError(f"softmax temperature must be > 0, got {temperature}")
     scaled = np.asarray(z, dtype=float) / temperature
-    scaled = scaled - scaled.max()
-    e = np.exp(scaled)
-    return e / e.sum()
+    scaled -= scaled.max(axis=-1, keepdims=True)
+    np.exp(scaled, out=scaled)
+    scaled /= scaled.sum(axis=-1, keepdims=True)
+    return scaled
 
 
-def cross_entropy(y: np.ndarray, t: np.ndarray) -> float:
-    """-sum_i t_i log y_i with y clamped at LOG_CLAMP before the log."""
+def cross_entropy(y: np.ndarray, t: np.ndarray) -> float | np.ndarray:
+    """-sum_i t_i log y_i with y clamped at LOG_CLAMP before the log.
+
+    A float for one distribution; one loss per row for a batch.
+    """
     if y.shape != t.shape:
         raise DimensionError(
             f"cross_entropy: y has dim {y.shape}, target has dim {t.shape}"
         )
-    return float(-(t * np.log(np.maximum(y, LOG_CLAMP))).sum())
+    losses = -(t * np.log(np.maximum(y, LOG_CLAMP))).sum(axis=-1)
+    return float(losses) if losses.ndim == 0 else losses
 
 
 def softmax_ce_backward(z: np.ndarray, t: np.ndarray, temperature: float) -> np.ndarray:
-    """Fused gradient of cross_entropy(softmax_t(z, T), t) w.r.t. z.
+    """Fused gradient of cross_entropy(softmax_t(z, T), t) w.r.t. z, row by
+    row for a batch.
 
-    Equals (softmax_t(z, T) - t) / T; requires t to sum to 1.
+    Equals (softmax_t(z, T) - t) / T; requires every target to sum to 1.
     """
     if z.shape != t.shape:
         raise DimensionError(
             f"softmax_ce_backward: z has dim {z.shape}, target has dim {t.shape}"
         )
-    s = float(np.sum(t))
-    if abs(s - 1.0) > 1e-6:
-        raise ConfigError(f"softmax_ce_backward: target sums to {s}, expected 1")
+    sums = np.atleast_1d(np.sum(t, axis=-1))
+    bad = np.abs(sums - 1.0) > 1e-6
+    if bad.any():
+        raise ConfigError(f"softmax_ce_backward: target sums to {sums[bad][0]}, expected 1")
     return (softmax_t(z, temperature) - t) / temperature
 
 
-def dropout_mask(dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
 
-    Each entry has expectation 1, so evaluation needs no rescaling.
+    ``shape`` is a width or a (samples, width) batch shape.  A batch mask
+    is one draw in row order, so it equals the per-sample masks drawn one
+    after another from the same generator.  Each entry has expectation 1,
+    so evaluation needs no rescaling.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return np.ones(dim)
-    keep = rng.random(dim) >= rate
+        return np.ones(shape)
+    keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)

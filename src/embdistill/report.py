@@ -2,7 +2,8 @@
 
 The report mirrors the two headline tables of a regime comparison:
 mean +- std test accuracy per regime (with the restart pick), and the
-deployed parameter counts plus the measured relative inference time.
+deployed parameter counts plus the measured relative inference time,
+per-sample and, when the bench measured it, batched.
 Output is a tab-separated file and an aligned-text twin; both are
 deterministic functions of the saved result files.
 """
@@ -39,8 +40,9 @@ class ReportRow:
 @dataclass
 class ComparisonReport:
     rows: list[ReportRow]
-    relative_time: float | None
+    relative_time: float | None  # per-sample predict, small / large
     provenance: list[str]
+    relative_time_batched: float | None = None  # batched evaluation sweep
 
 
 def build_report(results: list[dict], bench: dict | None = None) -> ComparisonReport:
@@ -79,13 +81,14 @@ def build_report(results: list[dict], bench: dict | None = None) -> ComparisonRe
             f" batch={proto['batch_size']} epochs={proto['max_epochs']}"
         )
 
-    relative_time = None
+    relative_time = relative_time_batched = None
     if bench is not None:
         relative_time = bench["relative_time"]
+        relative_time_batched = bench.get("relative_time_batched")
         provenance.append(
             f"bench: reps={bench['reps']} corpus={bench['corpus_size']} samples"
         )
-    return ComparisonReport(rows, relative_time, provenance)
+    return ComparisonReport(rows, relative_time, provenance, relative_time_batched)
 
 
 def _pct(x: float) -> str:
@@ -107,6 +110,8 @@ def format_tsv(report: ComparisonReport) -> str:
             lines.append(f"{row.regime}\t{MISSING}\t{MISSING}\t{MISSING}\t{MISSING}")
     if report.relative_time is not None:
         lines.append(f"relative_time\t{report.relative_time:.6f}")
+    if report.relative_time_batched is not None:
+        lines.append(f"relative_time_batched\t{report.relative_time_batched:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -129,6 +134,12 @@ def format_text(report: ComparisonReport) -> str:
     if report.relative_time is not None:
         lines.append("")
         lines.append(
-            f"relative inference time (small / large): {report.relative_time:.2f}x"
+            "relative inference time, per-sample predict (small / large): "
+            f"{report.relative_time:.2f}x"
+        )
+    if report.relative_time_batched is not None:
+        lines.append(
+            "relative inference time, batched evaluation (small / large): "
+            f"{report.relative_time_batched:.2f}x"
         )
     return "\n".join(lines) + "\n"

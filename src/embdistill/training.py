@@ -8,6 +8,11 @@ winning configuration under different seeds.
 Every trial is fully determined by (configuration, seed, data): model
 initialization draws from ``default_rng([seed, 0])`` and the training
 loop (shuffling, dropout) from ``default_rng([seed, 1])``.
+
+An objective is called once per mini-batch as
+``objective(model, samples, indices, rng, dropout_rate)``, where
+``indices`` are the samples' positions in the training set; it returns
+the per-sample losses and the gradients of their mean.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .model import (
     evaluate_accuracy,
     forward,
 )
-from .ops import GradPair, cross_entropy, one_hot
+from .ops import cross_entropy, one_hot
 
 DECAY_CONSTANT = "constant"
 DECAY_HALVE_EVERY_3 = "halve_every_3"
@@ -107,40 +112,26 @@ class TrialResult:
         return cls(**d)
 
 
-def standard_objective(model, sample, index, rng, dropout_rate):
-    """Cross-entropy against the one-hot label at temperature 1."""
+def standard_objective(model, samples, indices, rng, dropout_rate):
+    """Cross-entropy against the one-hot labels at temperature 1."""
     y, cache = forward(
-        model, sample, temperature=1.0, train_mode=True, rng=rng, dropout_rate=dropout_rate
+        model, samples, temperature=1.0, train_mode=True, rng=rng, dropout_rate=dropout_rate
     )
-    target = one_hot(sample.label, model.config.n_classes)
-    loss = cross_entropy(y, target)
-    return loss, backward(model, cache, target, temperature=1.0)
-
-
-def parameter_pairs(model: ClassifierModel, grads: Gradients) -> list[GradPair]:
-    """Match every gradient with its parameter array.
-
-    Embedding columns are views into the table, so updating through the
-    pair writes back in place; untouched columns never appear.
-    """
-    pairs = [
-        GradPair(model.hidden_w, grads.hidden_w),
-        GradPair(model.hidden_b, grads.hidden_b),
-        GradPair(model.out_w, grads.out_w),
-        GradPair(model.out_b, grads.out_b),
-    ]
-    if model.encoder is not None:
-        pairs.append(GradPair(model.encoder.w_encode, grads.encoder_w))
-        pairs.append(GradPair(model.encoder.b_encode, grads.encoder_b))
-    matrix = model.embedding.matrix
-    for col, g in grads.embed_cols.items():
-        pairs.append(GradPair(matrix[:, col], g))
-    return pairs
+    targets = one_hot([s.label for s in samples], model.config.n_classes)
+    return cross_entropy(y, targets), backward(model, cache, targets, temperature=1.0)
 
 
 def apply_update(model: ClassifierModel, grads: Gradients, lr: float) -> None:
-    for pair in parameter_pairs(model, grads):
-        pair.value -= lr * pair.grad
+    """One SGD step.  The table moves only on the rows the batch touched,
+    in one indexed update of its word-major view."""
+    model.hidden_w -= lr * grads.hidden_w
+    model.hidden_b -= lr * grads.hidden_b
+    model.out_w -= lr * grads.out_w
+    model.out_b -= lr * grads.out_b
+    if model.encoder is not None:
+        model.encoder.w_encode -= lr * grads.encoder_w
+        model.encoder.b_encode -= lr * grads.encoder_b
+    model.embedding.matrix.T[grads.embed_ids] -= lr * grads.embed_rows
     model.version += 1
 
 
@@ -168,31 +159,26 @@ def sgd_epoch(
     order = rng.permutation(len(samples))
     losses = []
     for batch_index, start in enumerate(range(0, len(order), batch_size)):
-        batch = order[start : start + batch_size]
-        acc = Gradients.zeros_like(model)
-        batch_loss = 0.0
-        for i in batch:
-            i = int(i)
-            loss, grads = objective(model, samples[i], i, rng, dropout_rate)
-            batch_loss += loss
-            acc.add_(grads)
-            losses.append(loss)
-        if not np.isfinite(batch_loss):
+        indices = order[start : start + batch_size]
+        batch_losses, grads = objective(
+            model, [samples[i] for i in indices], indices, rng, dropout_rate
+        )
+        if not np.isfinite(batch_losses.sum()):
             raise DivergenceError(
                 f"non-finite loss in batch {batch_index} (lr={lr})"
             )
-        acc.scale_(1.0 / len(batch))
-        apply_update(model, acc, lr)
-    return float(np.mean(losses))
+        apply_update(model, grads, lr)
+        losses.append(batch_losses)
+    return float(np.mean(np.concatenate(losses)))
 
 
 @dataclass
 class ModelFactory:
     """Builds a fresh, seeded model per trial.
 
-    A pretrained table is copied for every build (training mutates it);
-    without one, a uniform random table over ``vocab`` is drawn from the
-    seed, so restarts also re-draw the embeddings.
+    A pretrained table is copied for every build (training mutates it),
+    word-major; without one, a uniform random table over ``vocab`` is
+    drawn from the seed, so restarts also re-draw the embeddings.
     """
 
     config: ModelConfig
@@ -214,7 +200,8 @@ class ModelFactory:
         if dropout_rate is not None:
             config = replace(config, dropout_rate=dropout_rate)
         if self.table is not None:
-            table = self.table.copy()
+            matrix = np.array(self.table.matrix, order="F")
+            table = type(self.table)(self.table.vocab, matrix)
         else:
             table = init_random_table(self.vocab, config.n_embed, self.init_scale, rng)
         return ClassifierModel.initialize(config, table, rng)

@@ -44,9 +44,11 @@ def central_difference(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
 
 
 def model_loss(model: ClassifierModel, sample, target, temperature: float) -> float:
-    """Evaluation-mode scalar loss the gradient checks differentiate."""
+    """Evaluation-mode scalar loss the gradient checks differentiate: the
+    loss of one sample, or the mean loss of a batch (one target row per
+    sample)."""
     y, _ = forward(model, sample, temperature)
-    return cross_entropy(y, target)
+    return float(np.mean(cross_entropy(y, target)))
 
 
 def dense_gradients(model: ClassifierModel, grads) -> dict[str, np.ndarray]:
@@ -76,7 +78,8 @@ def check_model_gradients(
     tol: float = FD_TOL,
 ) -> float:
     """Compare every trainable scalar's analytic gradient with central
-    finite differences of the loss.  Returns the worst relative error."""
+    finite differences of the loss (the batch-mean loss when ``sample``
+    is a list of samples).  Returns the worst relative error."""
     _, cache = forward(model, sample, temperature)
     analytic = dense_gradients(model, backward(model, cache, target, temperature))
     worst = 0.0

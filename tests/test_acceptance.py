@@ -197,8 +197,9 @@ def test_criterion_6_synthetic_distillation_experiment():
 
 
 class _PerfectTeacherObjective:
-    """Soft-target objective plus a per-step identity check against 2x the
-    plain loss (valid because the teacher emits the one-hot truth at T=1)."""
+    """Soft-target objective plus a per-step identity check, on every
+    sample of the batch, against 2x the plain loss (valid because the
+    teacher emits the one-hot truth at T=1)."""
 
     def __init__(self, targets: SoftTargetSet, n_classes: int):
         self.inner = MatchingSoftmaxObjective(targets)
@@ -206,13 +207,14 @@ class _PerfectTeacherObjective:
         self.max_gap = 0.0
         self.steps = 0
 
-    def __call__(self, model, sample, index, rng, dropout_rate):
-        loss, grads = self.inner(model, sample, index, rng, dropout_rate)
-        y, _ = forward(model, sample)
-        standard = cross_entropy(y, one_hot(sample.label, self.n_classes))
-        self.max_gap = max(self.max_gap, abs(loss - 2.0 * standard))
+    def __call__(self, model, samples, indices, rng, dropout_rate):
+        losses, grads = self.inner(model, samples, indices, rng, dropout_rate)
+        y, _ = forward(model, samples)
+        labels = [s.label for s in samples]
+        standard = cross_entropy(y, one_hot(labels, self.n_classes))
+        self.max_gap = max(self.max_gap, float(np.max(np.abs(losses - 2.0 * standard))))
         self.steps += 1
-        return loss, grads
+        return losses, grads
 
 
 def test_criterion_7_matching_softmax_sanity():

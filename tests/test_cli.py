@@ -318,6 +318,14 @@ class TestBench:
             ratios.append(json.loads((tmp_path / name).read_text())["relative_time"])
         assert abs(ratios[0] - ratios[1]) / max(ratios) < 0.2
 
+    def test_batched_relative_time_reported(self, bench_setup, tmp_path):
+        data, enc = bench_setup
+        code = run_cli("bench", "--large", enc / "best.mdl", "--small", enc / "folded.mdl",
+                       "--data", data, "--reps", "3", "--out", tmp_path / "b.json")
+        assert code == 0
+        payload = json.loads((tmp_path / "b.json").read_text())
+        assert payload["relative_time_batched"] > 0
+
     def test_too_few_reps_is_config_error(self, bench_setup, tmp_path, capsys):
         data, enc = bench_setup
         code = run_cli("bench", "--large", enc / "best.mdl", "--small", enc / "best.mdl",
@@ -390,6 +398,46 @@ class TestCompare:
         code = run_cli("compare", "--results", paths["direct"], paths["direct"],
                        "--out", tmp_path / "dup")
         assert code == 2
+
+
+class TestErrorContract:
+    """Bad input files end in a data error (exit 3), never a traceback."""
+
+    def _trained(self, toy_corpus, tmp_path):
+        data = prepare(toy_corpus, tmp_path / "data")
+        out = tmp_path / "direct"
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embed-dim", "4",
+                       "--hidden", "5", *FAST, "--out", out) == 0
+        return data, out
+
+    def test_compare_result_without_aggregate_exit_3(self, toy_corpus, tmp_path, capsys):
+        _, out = self._trained(toy_corpus, tmp_path)
+        result = json.loads((out / "result.json").read_text())
+        del result["aggregate"]
+        bad = tmp_path / "result.json"
+        bad.write_text(json.dumps(result))
+        capsys.readouterr()
+        assert run_cli("compare", "--results", bad, "--out", tmp_path / "report") == 3
+        assert "aggregate" in capsys.readouterr().err
+
+    def test_compare_invalid_json_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "result.json"
+        bad.write_text('{"regime": "direct_small", ')
+        assert run_cli("compare", "--results", bad, "--out", tmp_path / "report") == 3
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["999", "-1"])
+    def test_eval_out_of_vocabulary_token_exit_3(self, toy_corpus, tmp_path, capsys, token):
+        data, out = self._trained(toy_corpus, tmp_path)
+        test_file = data / "test.samples"
+        lines = test_file.read_text().splitlines()
+        label, tokens = lines[1].split("\t")
+        lines[1] = f"{label}\t{tokens} {token}"
+        test_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("eval", "--model", out / "best.mdl", "--data", data) == 3
+        err = capsys.readouterr().err
+        assert f"test.samples:2: token id {token}" in err
 
 
 class TestDeterminism:

@@ -175,20 +175,21 @@ class TestMatchingSoftmaxObjective:
         samples = [Sample(rng.integers(0, 10, size=3), int(rng.integers(0, 5))) for _ in range(6)]
         targets = SoftTargetSet(1.0, onehot_rows(samples, 5))
         objective = MatchingSoftmaxObjective(targets)
-        for i, sample in enumerate(samples):
-            loss, grads = objective(model, sample, i, None, 0.0)
-            y, cache = forward(model, sample)
-            t = one_hot(sample.label, 5)
-            std_loss = cross_entropy(y, t)
-            assert loss == pytest.approx(2.0 * std_loss, abs=1e-9)
-            std = backward(model, cache, t)
-            assert np.allclose(grads.out_w, 2.0 * std.out_w, atol=1e-12)
-            assert np.allclose(grads.hidden_w, 2.0 * std.hidden_w, atol=1e-12)
-            dz_mixed = softmax_ce_backward(cache.logits, t, 1.0) * 2.0
-            dz_api = softmax_ce_backward(cache.logits, t, 1.0) + softmax_ce_backward(
-                cache.logits, targets.targets[i], 1.0
-            )
-            assert np.array_equal(dz_mixed, dz_api)
+        indices = np.arange(len(samples))
+        losses, grads = objective(model, samples, indices, None, 0.0)
+        y, cache = forward(model, samples)
+        t = onehot_rows(samples, 5)
+        for i in indices:
+            std_loss = cross_entropy(y[i], t[i])
+            assert losses[i] == pytest.approx(2.0 * std_loss, abs=1e-9)
+        std = backward(model, cache, t)
+        assert np.allclose(grads.out_w, 2.0 * std.out_w, atol=1e-12)
+        assert np.allclose(grads.hidden_w, 2.0 * std.hidden_w, atol=1e-12)
+        dz_mixed = softmax_ce_backward(cache.logits, t, 1.0) * 2.0
+        dz_api = softmax_ce_backward(cache.logits, t, 1.0) + softmax_ce_backward(
+            cache.logits, targets.targets[indices], 1.0
+        )
+        assert np.array_equal(dz_mixed, dz_api)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -197,7 +198,7 @@ class TestMatchingSoftmaxObjective:
         teacher_row = np.array([0.1, 0.5, 0.2, 0.2])
         targets = SoftTargetSet(2.0, teacher_row[None, :])
         objective = MatchingSoftmaxObjective(targets)
-        _, grads = objective(model, sample, 0, None, 0.0)
+        _, grads = objective(model, [sample], np.array([0]), None, 0.0)
 
         def loss_fn():
             y1, cache = forward(model, sample)

@@ -27,9 +27,9 @@ from embdistill.model import (
     save_model,
 )
 from embdistill.distillation import fold_model
-from embdistill.ops import one_hot, softmax_t
+from embdistill.ops import dropout_mask, one_hot, softmax_t
 
-from helpers import check_model_gradients, soft_target, tiny_model
+from helpers import check_model_gradients, dense_gradients, soft_target, tiny_model
 
 
 class TestModelConfig:
@@ -163,6 +163,129 @@ class TestBackward:
         model.restore(model.snapshot())  # bumps the version
         with pytest.raises(StaleCacheError):
             backward(model, cache, one_hot(0, model.config.n_classes))
+
+
+def mixed_batch():
+    """Three samples of different lengths; token 1 repeats inside the
+    first sample and again in the third, token 3 in the first two."""
+    return [
+        Sample(np.array([1, 3, 1]), 0),
+        Sample(np.array([3]), 2),
+        Sample(np.array([0, 2, 4, 1, 5]), 1),
+    ]
+
+
+def soft_rows(rng, n_rows, n_classes):
+    return np.array([soft_target(rng, n_classes) for _ in range(n_rows)])
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("n_distill", [0, 3])
+    def test_batch_mean_gradients_match_finite_differences(self, n_distill):
+        rng = np.random.default_rng(30)
+        model = tiny_model(rng, vocab_size=7, n_embed=5, n_distill=n_distill,
+                           n_hidden=4, n_classes=4)
+        samples = mixed_batch()
+        hard = one_hot([s.label for s in samples], 4)
+        check_model_gradients(model, samples, hard, temperature=1.0)
+        check_model_gradients(model, samples, soft_rows(rng, 3, 4), temperature=2.0)
+
+    @pytest.mark.parametrize("n_distill", [0, 3])
+    def test_batch_equals_rows_and_mean_of_samples(self, n_distill):
+        rng = np.random.default_rng(31)
+        model = tiny_model(rng, vocab_size=7, n_embed=5, n_distill=n_distill,
+                           n_hidden=4, n_classes=4)
+        samples = mixed_batch()
+        targets = soft_rows(rng, 3, 4)
+        y, cache = forward(model, samples, temperature=2.0)
+        batch_grads = dense_gradients(model, backward(model, cache, targets, 2.0))
+        mean = {name: np.zeros_like(g) for name, g in batch_grads.items()}
+        for i, sample in enumerate(samples):
+            y_i, cache_i = forward(model, sample, temperature=2.0)
+            assert y_i.shape == (4,) and cache_i.logits.shape == (4,)
+            assert np.max(np.abs(cache.logits[i] - cache_i.logits)) < 1e-12
+            assert np.max(np.abs(y[i] - y_i)) < 1e-12
+            grads_i = dense_gradients(model, backward(model, cache_i, targets[i], 2.0))
+            for name, g in grads_i.items():
+                mean[name] += g / len(samples)
+        for name, g in batch_grads.items():
+            assert np.max(np.abs(g - mean[name])) < 1e-12, name
+
+    def test_batch_embedding_gradient_is_one_block_over_distinct_tokens(self):
+        rng = np.random.default_rng(32)
+        model = tiny_model(rng, vocab_size=8, n_distill=3)
+        samples = mixed_batch()
+        _, cache = forward(model, samples)
+        grads = backward(model, cache, one_hot([s.label for s in samples], 3))
+        assert grads.embed_ids.tolist() == [0, 1, 2, 3, 4, 5]
+        assert grads.embed_rows.shape == (6, model.embedding.dim)
+        assert set(grads.embed_cols) == {0, 1, 2, 3, 4, 5}
+        assert np.array_equal(grads.embed_cols[3], grads.embed_rows[3])
+
+    def test_direct_model_sample_result_does_not_depend_on_its_batch(self):
+        # long samples: summation order matters from 8 tokens on
+        rng = np.random.default_rng(33)
+        model = tiny_model(rng, vocab_size=50, n_embed=12, n_hidden=9, n_classes=5)
+        samples = [Sample(rng.integers(0, 50, size=int(n)), 0) for n in (1, 30, 9, 17, 40)]
+        _, cache = forward(model, samples)
+        for i, sample in enumerate(samples):
+            _, alone = forward(model, sample)
+            assert np.array_equal(cache.logits[i], alone.logits)
+        assert predict(model, samples).tolist() == [predict(model, s) for s in samples]
+
+    def test_batch_dropout_mask_equals_stacked_sample_masks(self):
+        rng = np.random.default_rng(34)
+        model = tiny_model(rng, n_hidden=6)
+        samples = mixed_batch()
+        _, cache = forward(model, samples, train_mode=True,
+                           rng=np.random.default_rng(5), dropout_rate=0.4)
+        per_sample = np.random.default_rng(5)
+        stacked = [dropout_mask(6, 0.4, per_sample) for _ in samples]
+        assert np.array_equal(cache.mask, np.stack(stacked))
+        one = np.random.default_rng(5)
+        _, alone = forward(model, samples[0], train_mode=True, rng=one, dropout_rate=0.4)
+        assert np.array_equal(alone.mask, stacked[0])
+
+    def test_empty_batch_rejected(self):
+        model = tiny_model(np.random.default_rng(35))
+        with pytest.raises(DataError, match="empty"):
+            forward(model, [])
+
+    def test_chunked_prediction_over_many_samples(self):
+        rng = np.random.default_rng(36)
+        model = tiny_model(rng, vocab_size=20, n_distill=3)
+        samples = [Sample(rng.integers(0, 20, size=int(rng.integers(1, 6))), 0)
+                   for _ in range(450)]
+        labels = predict(model, samples)
+        assert labels.shape == (450,)
+        for i in (0, 199, 200, 449):
+            assert labels[i] == predict(model, samples[i])
+
+
+class TestWordMajorLayout:
+    def _model(self):
+        rng = np.random.default_rng(37)
+        model = tiny_model(rng, n_distill=3)
+        model.embedding.matrix = np.asfortranarray(model.embedding.matrix)
+        return model
+
+    def test_snapshot_and_restore_keep_the_table_fortran_ordered(self):
+        model = self._model()
+        saved = model.snapshot()
+        assert saved[0].flags.f_contiguous
+        model.restore(saved)
+        assert model.embedding.matrix.flags.f_contiguous
+
+    def test_copies_keep_the_table_fortran_ordered(self):
+        model = self._model()
+        assert model.embedding.copy().matrix.flags.f_contiguous
+        assert model.copy().embedding.matrix.flags.f_contiguous
+
+    def test_loaded_and_folded_tables_are_word_major(self, tmp_path):
+        model = self._model()
+        save_model(model, tmp_path / "m.mdl")
+        assert load_model(tmp_path / "m.mdl").embedding.matrix.flags.f_contiguous
+        assert fold_model(model).embedding.matrix.flags.f_contiguous
 
 
 class TestFoldEquivalence:

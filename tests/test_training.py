@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from embdistill.data import DatasetSplits, Sample
+from embdistill.distillation import MatchingSoftmaxObjective, SoftTargetSet
+from embdistill.embeddings import init_random_table
 from embdistill.errors import ConfigError, DivergenceError
 from embdistill.model import ModelConfig, evaluate_accuracy, forward, backward
-from embdistill.ops import one_hot
+from embdistill.ops import cross_entropy, one_hot, softmax_t
 from embdistill.training import (
     DECAY_SCHEMES,
     AggregateResult,
@@ -14,14 +16,24 @@ from embdistill.training import (
     TrainConfig,
     TrainingProtocol,
     TrialResult,
+    apply_update,
     decay,
     grid_search,
     multi_restart,
     sgd_epoch,
+    standard_objective,
     train_trial,
 )
 
-from helpers import dense_gradients, tiny_model, toy_separable_task
+from helpers import (
+    FD_STEP,
+    FD_TOL,
+    dense_gradients,
+    rel_error,
+    soft_target,
+    tiny_model,
+    toy_separable_task,
+)
 
 
 class TestDecay:
@@ -124,6 +136,81 @@ class TestSgdEpoch:
         v0 = model.version
         sgd_epoch(model, splits.train[:20], 0.1, 5, 0.0, np.random.default_rng(0))
         assert model.version == v0 + 4
+
+
+def mixed_batch():
+    """Samples of lengths 3, 1 and 5 with token 1 repeated inside the first
+    sample and again in the third."""
+    return [
+        Sample(np.array([1, 3, 1]), 0),
+        Sample(np.array([3]), 2),
+        Sample(np.array([0, 2, 4, 1, 5]), 1),
+    ]
+
+
+class TestBatchObjectives:
+    @pytest.mark.parametrize("n_distill", [0, 3])
+    def test_standard_objective_is_the_mean_of_per_sample_losses(self, n_distill):
+        rng = np.random.default_rng(40)
+        model = tiny_model(rng, vocab_size=7, n_embed=5, n_distill=n_distill, n_classes=3)
+        samples = mixed_batch()
+        losses, grads = standard_objective(model, samples, np.arange(3), None, 0.0)
+        assert losses.shape == (3,)
+        mean = None
+        for i, sample in enumerate(samples):
+            y, cache = forward(model, sample)
+            target = one_hot(sample.label, 3)
+            assert abs(losses[i] - cross_entropy(y, target)) < 1e-12
+            g = dense_gradients(model, backward(model, cache, target))
+            mean = g if mean is None else {k: mean[k] + g[k] for k in g}
+        for name, g in dense_gradients(model, grads).items():
+            assert np.max(np.abs(g - mean[name] / 3)) < 1e-12, name
+
+    def test_matching_objective_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(41)
+        model = tiny_model(rng, vocab_size=7, n_embed=5, n_hidden=4, n_classes=4)
+        samples = mixed_batch()
+        # the batch is training samples 4, 0 and 2 of a five-row target set
+        teacher = np.array([soft_target(rng, 4) for _ in range(5)])
+        indices = np.array([4, 0, 2])
+        objective = MatchingSoftmaxObjective(SoftTargetSet(2.0, teacher))
+        losses, grads = objective(model, samples, indices, None, 0.0)
+        hard = one_hot([s.label for s in samples], 4)
+
+        def mean_mixed_loss():
+            y1, cache = forward(model, samples)
+            soft = softmax_t(cache.logits, 2.0)
+            return float(np.mean(cross_entropy(y1, hard) + cross_entropy(soft, teacher[indices])))
+
+        assert abs(np.mean(losses) - mean_mixed_loss()) < 1e-12
+        analytic = dense_gradients(model, grads)
+        for name, param in model.named_parameters():
+            flat, ana = param.ravel(), analytic[name].ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + FD_STEP
+                up = mean_mixed_loss()
+                flat[i] = orig - FD_STEP
+                down = mean_mixed_loss()
+                flat[i] = orig
+                numeric = (up - down) / (2 * FD_STEP)
+                assert rel_error(ana[i], numeric) < FD_TOL, f"{name}[{i}]"
+
+    def test_apply_update_moves_exactly_the_batch_rows(self):
+        rng = np.random.default_rng(42)
+        model = tiny_model(rng, vocab_size=9, n_distill=3)
+        model.embedding.matrix = np.asfortranarray(model.embedding.matrix)
+        samples = mixed_batch()
+        _, grads = standard_objective(model, samples, np.arange(3), None, 0.0)
+        dense = dense_gradients(model, grads)
+        before = {name: a.copy() for name, a in model.named_parameters()}
+        apply_update(model, grads, 0.5)
+        for name, after in model.named_parameters():
+            assert np.array_equal(after, before[name] - 0.5 * dense[name]), name
+        untouched = [6, 7, 8]
+        assert np.array_equal(model.embedding.matrix[:, untouched],
+                              before["embedding"][:, untouched])
+        assert model.embedding.matrix.flags.f_contiguous
 
 
 class TestTrainTrial:
@@ -318,6 +405,22 @@ class TestModelFactory:
         built = factory.build(0)
         built.embedding.matrix[:] = 0.0
         assert model0.embedding.matrix.any()
+
+    def test_built_tables_are_word_major(self):
+        rng = np.random.default_rng(8)
+        model0 = tiny_model(rng)  # C-ordered table
+        built = ModelFactory(model0.config, table=model0.embedding).build(0)
+        assert built.embedding.matrix.flags.f_contiguous
+        assert np.array_equal(built.embedding.matrix, model0.embedding.matrix)
+        factory, _ = tiny_factory()
+        assert factory.build(0).embedding.matrix.flags.f_contiguous
+
+    def test_random_table_draw_is_unchanged_by_the_layout(self):
+        factory, _ = tiny_factory()
+        table = init_random_table(factory.vocab, 6, 0.1, np.random.default_rng(3))
+        draw = np.random.default_rng(3).uniform(-0.1, 0.1, size=(6, len(factory.vocab)))
+        assert table.matrix.flags.f_contiguous
+        assert np.array_equal(table.matrix, draw)
 
     def test_random_tables_differ_across_seeds(self):
         factory, _ = tiny_factory()
