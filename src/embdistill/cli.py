@@ -57,11 +57,7 @@ from .model import (
     save_model,
 )
 from .report import build_report, format_text, format_tsv
-from .training import (
-    DECAY_SCHEMES,
-    TrainConfig,
-    TrainingProtocol,
-)
+from .training import TrainConfig, TrainingProtocol
 
 _SPLIT_FILES = {"train": "train.samples", "valid": "valid.samples", "test": "test.samples"}
 _SENTENCE_TRAIN = "train_sentence.samples"
@@ -97,22 +93,12 @@ def _require(args, key: str):
     return value
 
 
-def _floats(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(v) for v in str(value).split(",") if v != ""]
-
-
-def _ints(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v != ""]
-
-
-def _strs(value) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [s for s in str(value).split(",") if s != ""]
+def _list(value, kind) -> list:
+    """A comma-separated flag value or a config-file list, each item
+    converted by ``kind``."""
+    if not isinstance(value, (list, tuple)):
+        value = [v for v in str(value).split(",") if v != ""]
+    return [kind(v) for v in value]
 
 
 def _out_dir(args) -> str:
@@ -274,20 +260,17 @@ def _protocol(args) -> TrainingProtocol:
     schemes = _merged(args, "decay")
     dropouts = _merged(args, "dropout")
     protocol = TrainingProtocol(
-        learning_rates=tuple(_floats(lrs)) if lrs is not None else defaults.learning_rates,
-        decay_schemes=tuple(_strs(schemes)) if schemes is not None else defaults.decay_schemes,
-        dropout_rates=tuple(_floats(dropouts)) if dropouts is not None else defaults.dropout_rates,
+        learning_rates=tuple(_list(lrs, float)) if lrs is not None else defaults.learning_rates,
+        decay_schemes=tuple(_list(schemes, str)) if schemes is not None else defaults.decay_schemes,
+        dropout_rates=(
+            tuple(_list(dropouts, float)) if dropouts is not None else defaults.dropout_rates
+        ),
         batch_size=int(_merged(args, "batch_size", defaults.batch_size)),
         max_epochs=int(_merged(args, "epochs", defaults.max_epochs)),
         patience=int(_merged(args, "patience", defaults.patience)),
         grid_seed=int(_merged(args, "grid_seed", defaults.grid_seed)),
-        restart_seeds=tuple(_ints(_merged(args, "seeds", list(defaults.restart_seeds)))),
+        restart_seeds=tuple(_list(_merged(args, "seeds", defaults.restart_seeds), int)),
     )
-    for scheme in protocol.decay_schemes:
-        if scheme not in DECAY_SCHEMES:
-            raise ConfigError(
-                f"unknown decay scheme {scheme!r}, expected one of {DECAY_SCHEMES}"
-            )
     if any(lr == 0 for lr in protocol.learning_rates):
         print("warning: learning rate 0 leaves parameters unchanged")
     return protocol
@@ -369,28 +352,22 @@ def cmd_train(args) -> int:
     vocab = _read_vocab_file(os.path.join(data_dir, "vocab.txt"))
     table = _task_table(args, vocab, seed)
 
+    extra = {}
     if regime_name in ("direct", DIRECT_SMALL):
-        regime = Regime(DIRECT_SMALL)
-        embed_dim = _merged(args, "embed_dim")
-        if table is None and embed_dim is None:
-            raise ConfigError("direct training needs --embeddings or --embed-dim")
-        return _run_and_save_regime(
-            args, regime, table=table,
-            embed_dim=int(embed_dim) if embed_dim is not None else None,
-        )
-    if regime_name in ("matching-softmax", MATCHING_SOFTMAX):
+        regime, what = Regime(DIRECT_SMALL), "direct training"
+    elif regime_name in ("matching-softmax", MATCHING_SOFTMAX):
         temperature = float(_merged(args, "temperature", 2.0))
-        regime = Regime(MATCHING_SOFTMAX, temperature)
-        targets = load_soft_targets(_require(args, "soft_targets"))
-        embed_dim = _merged(args, "embed_dim")
-        if table is None and embed_dim is None:
-            raise ConfigError("matching softmax needs --embeddings or --embed-dim")
-        return _run_and_save_regime(
-            args, regime, table=table,
-            embed_dim=int(embed_dim) if embed_dim is not None else None,
-            soft_targets=targets,
-        )
-    raise ConfigError(f"unknown regime {regime_name!r} for train")
+        regime, what = Regime(MATCHING_SOFTMAX, temperature), "matching softmax"
+        extra["soft_targets"] = load_soft_targets(_require(args, "soft_targets"))
+    else:
+        raise ConfigError(f"unknown regime {regime_name!r} for train")
+    embed_dim = _merged(args, "embed_dim")
+    if table is None and embed_dim is None:
+        raise ConfigError(f"{what} needs --embeddings or --embed-dim")
+    return _run_and_save_regime(
+        args, regime, table=table,
+        embed_dim=int(embed_dim) if embed_dim is not None else None, **extra,
+    )
 
 
 def cmd_distill(args) -> int:
@@ -616,17 +593,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (or file for fold/bench)")
 
 
-def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", help="comma-separated learning-rate grid")
-    p.add_argument("--decay", help="comma-separated decay schemes")
-    p.add_argument("--dropout", help="comma-separated dropout grid")
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lr", help="learning rate (train/distill: comma-separated grid)")
+    p.add_argument("--decay", help="decay scheme (train/distill: comma-separated list)")
+    p.add_argument("--dropout", help="dropout rate (train/distill: comma-separated grid)")
     p.add_argument("--batch-size", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--grid-seed", type=int)
-    p.add_argument("--seeds", help="comma-separated restart seeds")
     p.add_argument("--hidden", type=int, help="hidden layer width")
     p.add_argument("--classes", type=int, help="number of classes")
+
+
+def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
+    _add_training_flags(p)
+    p.add_argument("--grid-seed", type=int)
+    p.add_argument("--seeds", help="comma-separated restart seeds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -649,14 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("teacher", help="train the large-scale teacher model")
     p.add_argument("--data")
     p.add_argument("--embeddings")
-    p.add_argument("--lr")
-    p.add_argument("--decay")
-    p.add_argument("--dropout")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--classes", type=int)
+    _add_training_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_teacher)
 

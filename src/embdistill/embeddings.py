@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, ParseError
-from .ops import affine_forward, tanh_forward
+from .ops import affine_forward, glorot, tanh_forward
 
 UNK_TOKEN = "<unk>"
 
@@ -74,10 +74,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def copy(self) -> "EmbeddingTable":
-        # np.copy keeps the memory layout; ndarray.copy would make it C order
-        return type(self)(self.vocab, np.copy(self.matrix))
-
 
 class DistilledTable(EmbeddingTable):
     """A small table whose columns were produced by folding an encoder."""
@@ -118,11 +114,7 @@ class EncoderLayer:
 
     @classmethod
     def initialize(cls, n_distill: int, n_embed: int, rng: np.random.Generator):
-        # Uniform +-sqrt(6/(fan_in+fan_out)) keeps tanh pre-activations
-        # in the near-linear region at the start of training.
-        bound = np.sqrt(6.0 / (n_distill + n_embed))
-        w = rng.uniform(-bound, bound, size=(n_distill, n_embed))
-        return cls(w, np.zeros(n_distill))
+        return cls(glorot(n_distill, n_embed, rng), np.zeros(n_distill))
 
     def encode_columns(self, columns: np.ndarray) -> np.ndarray:
         """Apply the layer to every column of a (n_embed, k) block.
@@ -133,9 +125,6 @@ class EncoderLayer:
         encoded = columns.T @ self.w_encode.T
         encoded += self.b_encode
         return np.tanh(encoded, out=encoded).T
-
-    def copy(self) -> "EncoderLayer":
-        return EncoderLayer(self.w_encode.copy(), self.b_encode.copy())
 
 
 def lookup(table: EmbeddingTable, word_index: int) -> np.ndarray:
@@ -189,9 +178,10 @@ def align_to_vocab(
 
     Task words found in the pretrained table keep their vectors; missing
     words get uniform +-scale vectors so they stay trainable; the task
-    UNK column is the pretrained UNK (the mean vector).
+    UNK column is the pretrained UNK (the mean vector).  The result is
+    word-major, like every table that trains.
     """
-    matrix = np.empty((pretrained.dim, len(vocab)))
+    matrix = np.empty((pretrained.dim, len(vocab)), order="F")
     for i, word in enumerate(vocab.words):
         if i == vocab.unk_index:
             matrix[:, i] = pretrained.matrix[:, pretrained.vocab.unk_index]

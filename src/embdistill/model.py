@@ -34,7 +34,16 @@ from .errors import (
     FormatError,
     StaleCacheError,
 )
-from .ops import cross_entropy, dropout_mask, one_hot, softmax_ce_backward, softmax_t
+from .ops import (
+    affine_backward,
+    affine_forward,
+    dropout_mask,
+    glorot,
+    softmax_ce_backward,
+    softmax_t,
+    tanh_backward,
+    tanh_forward,
+)
 
 REGIME_DIRECT = "direct"
 REGIME_ENCODING = "encoding"
@@ -56,7 +65,6 @@ class ModelConfig:
     n_classes: int
     n_distill: int = 0  # 0 means no encoder
     dropout_rate: float = 0.0
-    activation: str = "tanh"
     regime: str = REGIME_DIRECT
 
     def __post_init__(self):
@@ -72,15 +80,8 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.activation != "tanh":
-            raise ConfigError(f"unsupported activation {self.activation!r}")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-
-
-def _glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 class ClassifierModel:
@@ -130,10 +131,6 @@ class ClassifierModel:
         if out_b.shape != (config.n_classes,):
             raise DimensionError("output bias shape mismatch")
 
-    @property
-    def input_dim(self) -> int:
-        return self.encoder.n_distill if self.encoder is not None else self.embedding.dim
-
     @classmethod
     def initialize(
         cls, config: ModelConfig, embedding: EmbeddingTable, rng: np.random.Generator
@@ -149,18 +146,15 @@ class ClassifierModel:
                 raise DimensionError(
                     f"table dim {embedding.dim} does not match n_embed {config.n_embed}"
                 )
-            encoder = EncoderLayer(
-                _glorot(config.n_distill, config.n_embed, rng),
-                np.zeros(config.n_distill),
-            )
+            encoder = EncoderLayer.initialize(config.n_distill, config.n_embed, rng)
         in_dim = config.n_distill if config.n_distill else config.n_embed
         return cls(
             config,
             embedding,
             encoder,
-            _glorot(config.n_hidden, in_dim, rng),
+            glorot(config.n_hidden, in_dim, rng),
             np.zeros(config.n_hidden),
-            _glorot(config.n_classes, config.n_hidden, rng),
+            glorot(config.n_classes, config.n_hidden, rng),
             np.zeros(config.n_classes),
         )
 
@@ -188,18 +182,6 @@ class ClassifierModel:
         for (_, a), saved in zip(self.named_parameters(), arrays):
             np.copyto(a, saved)
         self.version += 1
-
-    def copy(self) -> "ClassifierModel":
-        m = ClassifierModel(
-            self.config,
-            self.embedding.copy(),
-            self.encoder.copy() if self.encoder is not None else None,
-            self.hidden_w.copy(),
-            self.hidden_b.copy(),
-            self.out_w.copy(),
-            self.out_b.copy(),
-        )
-        return m
 
 
 _FIRST = np.zeros(1, dtype=np.intp)
@@ -258,8 +240,6 @@ class ForwardCache:
     mask: np.ndarray | None
     hidden: np.ndarray           # after dropout
     logits: np.ndarray
-    y: np.ndarray
-    temperature: float
     model_version: int
 
 
@@ -284,19 +264,6 @@ class Gradients:
     def embed_cols(self) -> Mapping[int, np.ndarray]:
         """Read-only {token id: gradient of its vector} view of the block."""
         return MappingProxyType(dict(zip(self.embed_ids.tolist(), self.embed_rows)))
-
-
-def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ x + b for a vector x, or for every row of a batch x.
-
-    A batch makes one matrix-vector product per row, the same one a
-    single sample makes, so a sample's result is the same bits whatever
-    else is in its batch; a matrix-matrix product may round each row
-    differently.
-    """
-    if x.ndim == 1:
-        return w @ x + b
-    return np.matmul(x[:, None, :], w.T)[:, 0] + b
 
 
 def _segment_sums(
@@ -359,7 +326,7 @@ def forward(
     if batch.single:
         pool = pool[0]
 
-    hidden_act = np.tanh(_dense(pool, model.hidden_w, model.hidden_b))
+    hidden_act = tanh_forward(affine_forward(model.hidden_w, pool, model.hidden_b))
     rate = model.config.dropout_rate if dropout_rate is None else dropout_rate
     mask = None
     if train_mode and rate > 0.0:
@@ -368,11 +335,10 @@ def forward(
         mask = dropout_mask(hidden_act.shape, rate, rng)
     hidden = hidden_act * mask if mask is not None else hidden_act
 
-    logits = _dense(hidden, model.out_w, model.out_b)
+    logits = affine_forward(model.out_w, hidden, model.out_b)
     y = softmax_t(logits, temperature)
     cache = ForwardCache(
-        batch, rows, encoded, pool, hidden_act, mask, hidden,
-        logits, y, temperature, model.version,
+        batch, rows, encoded, pool, hidden_act, mask, hidden, logits, model.version
     )
     return y, cache
 
@@ -402,28 +368,25 @@ def backward_from_logit_grad(
             "backward called with a cache from a previous parameter state"
         )
     batch = cache.batch
-    dz = np.atleast_2d(dz)
-    hidden = np.atleast_2d(cache.hidden)
-    out_w = dz.T @ hidden
-    out_b = dz.sum(axis=0)
-
-    d_hidden = dz @ model.out_w
+    # a single Sample's 1-D values run as a batch of one
+    out_w, d_hidden, out_b = affine_backward(
+        model.out_w, np.atleast_2d(cache.hidden), model.out_b, np.atleast_2d(dz)
+    )
     if cache.mask is not None:
         d_hidden = d_hidden * cache.mask
-    hidden_act = np.atleast_2d(cache.hidden_act)
-    d_pre_hidden = d_hidden * (1.0 - hidden_act * hidden_act)
-    hidden_w = d_pre_hidden.T @ np.atleast_2d(cache.pool)
-    hidden_b = d_pre_hidden.sum(axis=0)
+    d_pre_hidden = tanh_backward(np.atleast_2d(cache.hidden_act), d_hidden)
+    hidden_w, d_pool, hidden_b = affine_backward(
+        model.hidden_w, np.atleast_2d(cache.pool), model.hidden_b, d_pre_hidden
+    )
 
     # mean pooling spreads a sample's gradient evenly over its tokens
-    d_feature = (d_pre_hidden @ model.hidden_w) / batch.lengths[:, None]
-    ids, d_rows = _sum_by_token(batch, d_feature)
+    ids, d_rows = _sum_by_token(batch, d_pool / batch.lengths[:, None])
     encoder_w = encoder_b = None
     if model.encoder is not None:
-        d_pre_enc = d_rows * (1.0 - cache.encoded * cache.encoded)
-        encoder_w = d_pre_enc.T @ cache.rows
-        encoder_b = d_pre_enc.sum(axis=0)
-        d_rows = d_pre_enc @ model.encoder.w_encode
+        encoder_w, d_rows, encoder_b = affine_backward(
+            model.encoder.w_encode, cache.rows, model.encoder.b_encode,
+            tanh_backward(cache.encoded, d_rows),
+        )
     return Gradients(hidden_w, hidden_b, out_w, out_b, encoder_w, encoder_b, ids, d_rows)
 
 
@@ -442,12 +405,6 @@ def backward(
         np.atleast_2d(cache.logits), np.atleast_2d(target), temperature
     )
     return backward_from_logit_grad(model, cache, dz / len(cache.batch))
-
-
-def sample_loss(model: ClassifierModel, sample, temperature: float = 1.0) -> float:
-    """Evaluation-mode cross-entropy of one sample against its label."""
-    y, _ = forward(model, sample, temperature)
-    return cross_entropy(y, one_hot(sample.label, model.config.n_classes))
 
 
 def class_distributions(

@@ -1,16 +1,15 @@
 """Dense forward/backward primitives for the classifier and encoder.
 
-Matrices are 2-D float arrays, vectors 1-D.  The softmax, loss and
-dropout functions also take a batch: a (samples, classes) or (samples,
-units) matrix, one row per sample, treated row by row.  Everything is
-computed in float64 in memory; the binary file formats downcast to
-float32 at the I/O boundary.  Functions here are pure: randomness always
-comes in through an explicit numpy Generator.
+Matrices are 2-D float arrays, vectors 1-D.  The affine, tanh, softmax,
+loss and dropout functions also take a batch: a (samples, units) matrix,
+one row per sample, treated row by row (the affine weight and bias
+gradients sum over the rows).  Everything is computed in float64 in
+memory; the binary file formats downcast to float32 at the I/O boundary.
+Functions here are pure: randomness always comes in through an explicit
+numpy Generator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +18,6 @@ from .errors import ConfigError, DimensionError
 # Probabilities are clamped here before log so a confident-and-wrong
 # prediction costs a large finite loss instead of crashing.
 LOG_CLAMP = 1e-12
-
-
-@dataclass
-class GradPair:
-    """A parameter array paired with a gradient of the same shape.
-
-    ``value`` may be a view (for example one embedding column), so an
-    in-place update through the pair writes back into the owner.
-    """
-
-    value: np.ndarray
-    grad: np.ndarray
-
-    def __post_init__(self):
-        if self.value.shape != self.grad.shape:
-            raise DimensionError(
-                f"GradPair: value has shape {self.value.shape}, "
-                f"grad has shape {self.grad.shape}"
-            )
 
 
 def one_hot(index, n: int) -> np.ndarray:
@@ -49,18 +29,27 @@ def one_hot(index, n: int) -> np.ndarray:
 
 
 def affine_forward(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + b for a (rows, cols) matrix, a cols-vector and a rows-vector."""
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
+    """W @ x + b for a (rows, cols) matrix and a rows-vector b.
+
+    ``x`` is a cols-vector, or a (samples, cols) batch that gives one
+    output row per sample.  A batch makes one matrix-vector product per
+    row, the same one a single sample makes, so a sample's result is the
+    same bits whatever else is in its batch; a matrix-matrix product may
+    round each row differently.
+    """
+    if w.ndim != 2 or x.ndim not in (1, 2) or b.ndim != 1:
         raise DimensionError(
-            f"affine_forward: expected matrix/vector/vector, got "
+            f"affine_forward: expected matrix/vector or batch/vector, got "
             f"W{w.shape}, x{x.shape}, b{b.shape}"
         )
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
+    if w.shape[1] != x.shape[-1] or w.shape[0] != b.shape[0]:
         raise DimensionError(
             f"affine_forward: W is {w.shape[0]}x{w.shape[1]}, "
-            f"x has dim {x.shape[0]}, b has dim {b.shape[0]}"
+            f"x has dim {x.shape[-1]}, b has dim {b.shape[0]}"
         )
-    return w @ x + b
+    if x.ndim == 1:
+        return w @ x + b
+    return np.matmul(x[:, None, :], w.T)[:, 0] + b
 
 
 def affine_backward(
@@ -68,19 +57,33 @@ def affine_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of ``affine_forward`` w.r.t. W, x and b.
 
-    Returns (upstream outer x, W^T upstream, upstream).
+    For a vector x: (upstream outer x, W^T upstream, upstream).  For a
+    batch, ``upstream`` has one row per sample; the W and b gradients sum
+    over the rows and the x gradient has one row per sample.
     """
-    if upstream.shape != (w.shape[0],):
+    if upstream.shape != x.shape[:-1] + (w.shape[0],):
         raise DimensionError(
-            f"affine_backward: upstream has dim {upstream.shape[0]}, "
-            f"W has {w.shape[0]} rows"
+            f"affine_backward: upstream has shape {upstream.shape}, "
+            f"W has {w.shape[0]} rows, x has shape {x.shape}"
         )
-    if w.shape[1] != x.shape[0]:
+    if w.shape[1] != x.shape[-1]:
         raise DimensionError(
             f"affine_backward: W is {w.shape[0]}x{w.shape[1]}, "
-            f"x has dim {x.shape[0]}"
+            f"x has dim {x.shape[-1]}"
         )
-    return np.outer(upstream, x), w.T @ upstream, upstream.copy()
+    if x.ndim == 1:
+        return np.outer(upstream, x), w.T @ upstream, upstream.copy()
+    return upstream.T @ x, upstream @ w, upstream.sum(axis=0)
+
+
+def glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """(rows, cols) weights uniform in +-sqrt(6/(rows+cols)).
+
+    That range keeps tanh pre-activations in the near-linear region at
+    the start of training.
+    """
+    bound = np.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 def tanh_forward(x: np.ndarray) -> np.ndarray:

@@ -293,6 +293,11 @@ class TrainingProtocol:
                 raise ConfigError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} contains duplicates: {values}")
+        for scheme in self.decay_schemes:
+            if scheme not in DECAY_SCHEMES:
+                raise ConfigError(
+                    f"unknown decay scheme {scheme!r}, expected one of {DECAY_SCHEMES}"
+                )
 
     def grid_configs(self) -> list[TrainConfig]:
         """Grid points in iteration order: lr, then scheme, dropout ascending."""

@@ -147,7 +147,7 @@ def test_criterion_5_deployment_compression():
     )
     student = ClassifierModel.initialize(
         ModelConfig(n_embed=300, n_hidden=50, n_classes=5, n_distill=50, regime="encoding"),
-        big.copy(),
+        EmbeddingTable(vocab, big.matrix.copy()),
         rng,
     )
     folded = fold_model(student)

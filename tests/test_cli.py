@@ -161,6 +161,15 @@ class TestTrainAndEval:
         assert run_cli("train", "--regime", "direct") == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_decay_scheme_exit_2_before_output(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        out = tmp_path / "direct"
+        code = run_cli("train", "--data", data, "--regime", "direct", "--embed-dim", "4",
+                       *FAST, "--decay", "constant,cosine", "--out", out)
+        assert code == 2
+        assert "unknown decay scheme 'cosine'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDistillPipeline:
     def test_distill_fold_eval_equivalence(self, toy_corpus, tmp_path, capsys):

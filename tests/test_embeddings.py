@@ -260,6 +260,7 @@ class TestAlignToVocab:
         pretrained = EmbeddingTable(pre_vocab, np.arange(9.0).reshape(3, 3))
         task_vocab = Vocabulary.from_words(["known", "novel"])
         aligned = align_to_vocab(pretrained, task_vocab, rng, scale=0.1)
+        assert aligned.matrix.flags.f_contiguous  # word-major, like tables that train
         assert np.array_equal(aligned.matrix[:, 0], pretrained.matrix[:, 0])
         assert np.all(np.abs(aligned.matrix[:, 1]) <= 0.1)
         assert np.array_equal(

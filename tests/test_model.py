@@ -276,11 +276,6 @@ class TestWordMajorLayout:
         model.restore(saved)
         assert model.embedding.matrix.flags.f_contiguous
 
-    def test_copies_keep_the_table_fortran_ordered(self):
-        model = self._model()
-        assert model.embedding.copy().matrix.flags.f_contiguous
-        assert model.copy().embedding.matrix.flags.f_contiguous
-
     def test_loaded_and_folded_tables_are_word_major(self, tmp_path):
         model = self._model()
         save_model(model, tmp_path / "m.mdl")

@@ -3,7 +3,6 @@ import pytest
 
 from embdistill.errors import ConfigError, DimensionError
 from embdistill.ops import (
-    GradPair,
     affine_backward,
     affine_forward,
     cross_entropy,
@@ -19,7 +18,9 @@ from helpers import FD_STEP, FD_TOL, central_difference, rel_error
 
 
 def naive_affine(w, x, b):
-    # independent oracle: explicit sums of products
+    # independent oracle: explicit sums of products, row by row for a batch
+    if x.ndim == 2:
+        return np.array([naive_affine(w, row, b) for row in x])
     out = np.zeros(w.shape[0])
     for i in range(w.shape[0]):
         acc = 0.0
@@ -42,11 +43,19 @@ class TestAffine:
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            w = rng.normal(size=(4, 3))
-            x = rng.normal(size=3)
-            b = rng.normal(size=4)
-            assert np.all(rel_error(affine_forward(w, x, b), naive_affine(w, x, b)) < 1e-6)
+        for x_shape in ((3,), (6, 3)):  # a vector and a batch
+            for _ in range(20):
+                w = rng.normal(size=(4, 3))
+                x = rng.normal(size=x_shape)
+                b = rng.normal(size=4)
+                assert np.all(rel_error(affine_forward(w, x, b), naive_affine(w, x, b)) < 1e-6)
+
+    def test_batch_rows_equal_single_rows_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        w, x, b = rng.normal(size=(7, 50)), rng.normal(size=(9, 50)), rng.normal(size=7)
+        out = affine_forward(w, x, b)
+        for i in range(len(x)):
+            assert np.array_equal(out[i], affine_forward(w, x[i], b))
 
     def test_shape_mismatch_names_operands(self):
         with pytest.raises(DimensionError, match="affine_forward"):
@@ -75,18 +84,23 @@ class TestAffine:
     def test_backward_matches_finite_differences(self):
         # scalar function: fixed probe dotted with the affine output
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            w = rng.normal(size=(5, 4))
-            x = rng.normal(size=4)
-            b = rng.normal(size=5)
-            probe = rng.normal(size=5)
-            gw, gx, gb = affine_backward(w, x, b, probe)
-            num_w = central_difference(lambda wi: probe @ affine_forward(wi, x, b), w.copy())
-            num_x = central_difference(lambda xi: probe @ affine_forward(w, xi, b), x.copy())
-            num_b = central_difference(lambda bi: probe @ affine_forward(w, x, bi), b.copy())
-            assert np.all(rel_error(gw, num_w) < FD_TOL)
-            assert np.all(rel_error(gx, num_x) < FD_TOL)
-            assert np.all(rel_error(gb, num_b) < FD_TOL)
+        for lead in ((), (3,)):  # a vector and a batch of 3
+            for _ in range(20):
+                w = rng.normal(size=(5, 4))
+                x = rng.normal(size=lead + (4,))
+                b = rng.normal(size=5)
+                probe = rng.normal(size=lead + (5,))
+
+                def f(wi, xi, bi):
+                    return np.sum(probe * affine_forward(wi, xi, bi))
+
+                gw, gx, gb = affine_backward(w, x, b, probe)
+                num_w = central_difference(lambda wi: f(wi, x, b), w.copy())
+                num_x = central_difference(lambda xi: f(w, xi, b), x.copy())
+                num_b = central_difference(lambda bi: f(w, x, bi), b.copy())
+                assert np.all(rel_error(gw, num_w) < FD_TOL)
+                assert np.all(rel_error(gx, num_x) < FD_TOL)
+                assert np.all(rel_error(gb, num_b) < FD_TOL)
 
 
 class TestTanh:
@@ -265,10 +279,3 @@ class TestDropoutMask:
             dropout_mask(4, 1.0, rng)
         with pytest.raises(ConfigError):
             dropout_mask(4, -0.1, rng)
-
-
-def test_gradpair_shape_invariant():
-    with pytest.raises(DimensionError):
-        GradPair(np.zeros((2, 3)), np.zeros((3, 2)))
-    pair = GradPair(np.zeros(3), np.ones(3))
-    assert pair.value.shape == pair.grad.shape
