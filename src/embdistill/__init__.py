@@ -9,12 +9,10 @@ from .embeddings import (  # noqa: F401
     EmbeddingTable,
     EncoderLayer,
     Vocabulary,
-    encode,
     fold,
     init_random_table,
     load_table,
     load_word2vec_text,
-    lookup,
     save_table,
 )
 from .model import (  # noqa: F401

@@ -62,12 +62,69 @@ class Sample:
             raise DataError("sample must contain at least one token")
 
 
+@dataclass(eq=False)
+class SampleSet:
+    """A data split or a mini-batch: samples laid end to end, no padding,
+    in four intp arrays.
+
+    Sample i is ``Sample(tokens[starts[i]:][:lengths[i]], labels[i])``;
+    ``set[slice]`` or ``set[index array]`` gathers a new SampleSet.
+    """
+
+    tokens: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, samples) -> "SampleSet":
+        """The set of a sequence of Samples or of one Sample; a SampleSet
+        comes back unchanged."""
+        if isinstance(samples, SampleSet):
+            return samples
+        if isinstance(samples, Sample):
+            if samples.tokens.size == 0:
+                raise DataError("empty sample: a sample needs at least one token")
+            return cls(samples.tokens, _FIRST, np.array([samples.tokens.size]),
+                       np.array([samples.label]))
+        n = len(samples)
+        lengths = np.fromiter((s.tokens.size for s in samples), np.intp, n)
+        if n and lengths.min() == 0:
+            raise DataError("empty sample: a sample needs at least one token")
+        tokens = np.concatenate([s.tokens for s in samples]) if n else lengths[:0]
+        labels = np.fromiter((s.label for s in samples), np.intp, n)
+        return cls(tokens, np.cumsum(lengths) - lengths, lengths, labels)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            start = self.starts[key]
+            return Sample(self.tokens[start : start + self.lengths[key]], int(self.labels[key]))
+        lengths = self.lengths[key]
+        starts = np.cumsum(lengths) - lengths
+        # every gathered token's position in this set
+        where = np.repeat(self.starts[key] - starts, lengths)
+        where += np.arange(where.size)
+        return SampleSet(self.tokens[where], starts, lengths, self.labels[key])
+
+
+_FIRST = np.zeros(1, dtype=np.intp)  # the start of a lone sample
+_FIRST.flags.writeable = False
+
+
 @dataclass
 class DatasetSplits:
-    train: list[Sample]
-    valid: list[Sample]
-    test: list[Sample]
+    train: SampleSet
+    valid: SampleSet
+    test: SampleSet
     vocab: Vocabulary
+
+    def __post_init__(self):
+        self.train = SampleSet.of(self.train)
+        self.valid = SampleSet.of(self.valid)
+        self.test = SampleSet.of(self.test)
 
 
 def _byte_offset(line: str, pos: int) -> int:

@@ -164,7 +164,7 @@ class MatchingSoftmaxObjective:
         )
         temp = self.soft_targets.temperature
         y_temp = softmax_t(cache.logits, temp)
-        targets = one_hot([s.label for s in samples], model.config.n_classes)
+        targets = one_hot(cache.batch.labels, model.config.n_classes)
         teacher_rows = self.soft_targets.targets[indices]
         losses = mixed_loss(y1, y_temp, targets, teacher_rows)
         dz = softmax_ce_backward(cache.logits, targets, 1.0) + softmax_ce_backward(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, ParseError
-from .ops import affine_forward, glorot, tanh_forward
+from .ops import glorot
 
 UNK_TOKEN = "<unk>"
 
@@ -125,24 +125,6 @@ class EncoderLayer:
         encoded = columns.T @ self.w_encode.T
         encoded += self.b_encode
         return np.tanh(encoded, out=encoded).T
-
-
-def lookup(table: EmbeddingTable, word_index: int) -> np.ndarray:
-    """Column ``word_index`` of the table; identical to matrix @ one_hot."""
-    if not 0 <= word_index < len(table.vocab):
-        raise IndexError(
-            f"word index {word_index} outside vocabulary of size {len(table.vocab)}"
-        )
-    return table.matrix[:, word_index].copy()
-
-
-def encode(enc: EncoderLayer, table: EmbeddingTable, word_index: int) -> np.ndarray:
-    """Small vector for one word: tanh(W_encode @ column + b_encode)."""
-    if enc.n_embed != table.dim:
-        raise DimensionError(
-            f"encoder expects {enc.n_embed}-dim vectors, table has dim {table.dim}"
-        )
-    return tanh_forward(affine_forward(enc.w_encode, lookup(table, word_index), enc.b_encode))
 
 
 def fold(enc: EncoderLayer, table: EmbeddingTable) -> DistilledTable:

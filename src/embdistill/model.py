@@ -6,9 +6,9 @@ pooling, so the big look-up table and the encoder train jointly with
 the classifier.  A folded model carries a small table instead and no
 encoder; predictions are identical.
 
-Forward and backward passes work on a batch: the samples' token ids laid
-end to end with each sample's start and length, no padding.  A single
-``Sample`` is a batch of one whose per-sample outputs are 1-D.
+Forward and backward passes work on a batch, a ``SampleSet`` or anything
+``SampleSet.of`` takes.  A single ``Sample`` is a batch of one whose
+per-sample outputs are 1-D.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .data import Sample
+from .data import Sample, SampleSet
 from .embeddings import (
     DistilledTable,
     EmbeddingTable,
@@ -184,45 +184,6 @@ class ClassifierModel:
         self.version += 1
 
 
-_FIRST = np.zeros(1, dtype=np.intp)
-_FIRST.flags.writeable = False
-
-
-@dataclass
-class Batch:
-    """Samples laid end to end.
-
-    Sample i owns ``tokens[starts[i]:starts[i] + lengths[i]]``.
-    ``single`` marks one Sample passed on its own, whose per-sample
-    outputs drop the batch axis.
-    """
-
-    tokens: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
-    single: bool
-
-    @classmethod
-    def of(cls, samples) -> "Batch":
-        """The batch of a sequence of samples, or of one Sample."""
-        if isinstance(samples, Sample):
-            tokens = np.asarray(samples.tokens)
-            if tokens.size == 0:
-                raise DataError("cannot classify an empty sample")
-            return cls(tokens, _FIRST, np.array([tokens.size]), True)
-        if len(samples) == 0:
-            raise DataError("cannot classify an empty batch")
-        lengths = np.array([s.tokens.size for s in samples])
-        if lengths.min() == 0:
-            raise DataError("cannot classify an empty sample")
-        starts = np.zeros_like(lengths)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        return cls(np.concatenate([s.tokens for s in samples]), starts, lengths, False)
-
-    def __len__(self) -> int:
-        return self.lengths.size
-
-
 @dataclass
 class ForwardCache:
     """Intermediate values one backward pass needs.
@@ -232,7 +193,7 @@ class ForwardCache:
     rows and encodings of the batch's distinct tokens, ids ascending.
     """
 
-    batch: Batch
+    batch: SampleSet
     rows: np.ndarray | None      # (distinct tokens, table_dim)
     encoded: np.ndarray | None   # (distinct tokens, n_distill)
     pool: np.ndarray
@@ -307,11 +268,13 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Class distributions for a batch plus the cache for backward.
 
-    ``samples`` is a sequence of samples (``y`` is (samples, classes)) or
-    one Sample (``y`` is 1-D).  Dropout (on the hidden layer output) is
-    active only in train mode; evaluation is deterministic.
+    ``samples`` is a SampleSet or a sequence of samples (``y`` is
+    (samples, classes)) or one Sample (``y`` is 1-D).  Dropout (on the
+    hidden layer output) is active only in train mode.
     """
-    batch = Batch.of(samples)
+    batch = SampleSet.of(samples)
+    if len(batch) == 0:
+        raise DataError("cannot classify an empty batch")
     table = model.embedding.matrix.T  # one word vector per row
     rows = encoded = None
     if model.encoder is not None:
@@ -322,9 +285,11 @@ def forward(
         pool = _segment_sums(encoded, where, batch.starts, batch.lengths)
     else:
         pool = _segment_sums(table, batch.tokens, batch.starts, batch.lengths)
-    pool /= batch.lengths[:, None]
-    if batch.single:
-        pool = pool[0]
+    if isinstance(samples, Sample):
+        # the same bits as the batch division, without its broadcast
+        pool = pool[0] / batch.tokens.size
+    else:
+        pool /= batch.lengths[:, None]
 
     hidden_act = tanh_forward(affine_forward(model.hidden_w, pool, model.hidden_b))
     rate = model.config.dropout_rate if dropout_rate is None else dropout_rate
@@ -343,7 +308,7 @@ def forward(
     return y, cache
 
 
-def _sum_by_token(batch: Batch, per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sum_by_token(batch: SampleSet, per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Give every token occurrence its sample's row of ``per_sample`` and
     add the rows of equal tokens: (distinct ids ascending, summed rows)."""
     owner = np.repeat(np.arange(len(batch)), batch.lengths)
@@ -433,10 +398,10 @@ def evaluate_accuracy(model: ClassifierModel, samples) -> float:
 
     Runs with dropout off and temperature 1.
     """
-    if not samples:
+    samples = SampleSet.of(samples)
+    if len(samples) == 0:
         raise DataError("cannot evaluate on an empty sample list")
-    labels = np.array([s.label for s in samples])
-    return int(np.count_nonzero(predict(model, samples) == labels)) / len(samples)
+    return int(np.count_nonzero(predict(model, samples) == samples.labels)) / len(samples)
 
 
 def count_parameters(model: ClassifierModel) -> int:

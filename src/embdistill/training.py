@@ -11,8 +11,9 @@ loop (shuffling, dropout) from ``default_rng([seed, 1])``.
 
 An objective is called once per mini-batch as
 ``objective(model, samples, indices, rng, dropout_rate)``, where
-``indices`` are the samples' positions in the training set; it returns
-the per-sample losses and the gradients of their mean.
+``samples`` is the mini-batch SampleSet and ``indices`` are its
+samples' positions in the training set; it returns the per-sample
+losses and the gradients of their mean.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .data import SampleSet
 from .embeddings import EmbeddingTable, Vocabulary, init_random_table
 from .errors import ConfigError, DivergenceError
 from .model import (
@@ -117,7 +119,7 @@ def standard_objective(model, samples, indices, rng, dropout_rate):
     y, cache = forward(
         model, samples, temperature=1.0, train_mode=True, rng=rng, dropout_rate=dropout_rate
     )
-    targets = one_hot([s.label for s in samples], model.config.n_classes)
+    targets = one_hot(cache.batch.labels, model.config.n_classes)
     return cross_entropy(y, targets), backward(model, cache, targets, temperature=1.0)
 
 
@@ -156,13 +158,12 @@ def sgd_epoch(
         raise ConfigError("batch size must be >= 1")
     if objective is None:
         objective = standard_objective
+    samples = SampleSet.of(samples)
     order = rng.permutation(len(samples))
     losses = []
     for batch_index, start in enumerate(range(0, len(order), batch_size)):
         indices = order[start : start + batch_size]
-        batch_losses, grads = objective(
-            model, [samples[i] for i in indices], indices, rng, dropout_rate
-        )
+        batch_losses, grads = objective(model, samples[indices], indices, rng, dropout_rate)
         if not np.isfinite(batch_losses.sum()):
             raise DivergenceError(
                 f"non-finite loss in batch {batch_index} (lr={lr})"

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from embdistill.data import DatasetSplits, LabeledTree, Sample
-from embdistill.embeddings import EmbeddingTable, Vocabulary
+from embdistill.embeddings import EmbeddingTable, EncoderLayer, Vocabulary
+from embdistill.errors import DimensionError
 from embdistill.model import ClassifierModel, backward, forward
-from embdistill.ops import cross_entropy
+from embdistill.ops import affine_forward, cross_entropy, tanh_forward
 
 FD_STEP = 1e-3
 FD_TOL = 1e-4
@@ -41,6 +42,25 @@ def central_difference(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
         flat[i] = orig
         g[i] = (up - down) / (2.0 * step)
     return grad
+
+
+def lookup(table: EmbeddingTable, word_index: int) -> np.ndarray:
+    """Column ``word_index`` of the table; identical to matrix @ one_hot."""
+    if not 0 <= word_index < len(table.vocab):
+        raise IndexError(
+            f"word index {word_index} outside vocabulary of size {len(table.vocab)}"
+        )
+    return table.matrix[:, word_index].copy()
+
+
+def encode(enc: EncoderLayer, table: EmbeddingTable, word_index: int) -> np.ndarray:
+    """Small vector for one word, the per-word oracle for the encoder:
+    tanh(W_encode @ column + b_encode)."""
+    if enc.n_embed != table.dim:
+        raise DimensionError(
+            f"encoder expects {enc.n_embed}-dim vectors, table has dim {table.dim}"
+        )
+    return tanh_forward(affine_forward(enc.w_encode, lookup(table, word_index), enc.b_encode))
 
 
 def model_loss(model: ClassifierModel, sample, target, temperature: float) -> float:

@@ -28,7 +28,6 @@ from embdistill.embeddings import (
     Vocabulary,
     load_table,
     load_word2vec_text,
-    lookup,
     save_table,
 )
 from embdistill.model import (
@@ -54,6 +53,7 @@ from helpers import (
     central_difference,
     check_model_gradients,
     count_nodes,
+    lookup,
     random_tree,
     rel_error,
     serialize_tree,

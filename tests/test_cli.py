@@ -449,6 +449,70 @@ class TestErrorContract:
         assert f"test.samples:2: token id {token}" in err
 
 
+    def _set_label(self, path, line, label):
+        lines = path.read_text().splitlines()
+        tokens = lines[line - 1].split("\t")[1]
+        lines[line - 1] = f"{label}\t{tokens}"
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_train_label_outside_classes_exit_3(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        self._set_label(data / "train.samples", 3, 9)
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embed-dim", "4",
+                       "--hidden", "5", *FAST, "--out", tmp_path / "direct") == 3
+        assert "train.samples:3: label 9 outside 0..4" in capsys.readouterr().err
+
+    def test_eval_label_outside_classes_exit_3(self, toy_corpus, tmp_path, capsys):
+        data, out = self._trained(toy_corpus, tmp_path)
+        self._set_label(data / "test.samples", 2, -1)
+        capsys.readouterr()
+        assert run_cli("eval", "--model", out / "best.mdl", "--data", data) == 3
+        assert "test.samples:2: label -1 outside 0..4" in capsys.readouterr().err
+
+
+class TestUnparsableNumbers:
+    """A numeric flag or config value that does not parse is a
+    configuration error (exit 2) naming the option, raised before any
+    output is written."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--lr", "abc"),
+        ("train", "--seeds", "a"),
+        ("teacher", "--lr", "0.3,0.1"),
+    ])
+    def test_bad_flag_value_exit_2(self, toy_corpus, tmp_path, capsys, command, flag, value):
+        data = prepare(toy_corpus, tmp_path / "data")
+        inputs = {
+            "train": ["--regime", "direct", "--embed-dim", "4", *FAST],
+            "teacher": ["--embeddings", toy_corpus / "large_vecs.txt"],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(command, "--data", data, *inputs, flag, value, "--out", out) == 2
+        assert f"{flag}: cannot read '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_file_value_exit_2(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"data": str(data), "regime": "direct", "embed_dim": 4,
+                                        "lr": "x", "out": str(tmp_path / "out")}))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path) == 2
+        assert "--lr: cannot read 'x' as float" in capsys.readouterr().err
+
+    def test_null_config_value_takes_the_default(self, toy_corpus, tmp_path):
+        data = prepare(toy_corpus, tmp_path / "data")
+        cfg = {"data": str(data), "embeddings": str(toy_corpus / "large_vecs.txt"),
+               "lr": None, "epochs": 1, "out": str(tmp_path / "t")}
+        cfg_path = tmp_path / "teacher.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("teacher", "--config", cfg_path) == 0
+        result = json.loads((tmp_path / "t" / "teacher_result.json").read_text())
+        assert result["config"]["learning_rate"] == 0.3
+
+
 class TestDeterminism:
     def test_train_twice_bit_identical(self, toy_corpus, tmp_path):
         data = prepare(toy_corpus, tmp_path / "data")

@@ -1,18 +1,23 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from embdistill.data import (
     ALL_PHRASES,
+    DatasetSplits,
     LabeledTree,
     SENTENCE_ONLY,
+    Sample,
+    SampleSet,
     build_vocab,
     extract_samples,
     load_splits,
     parse_tree,
     read_tree_file,
 )
-from embdistill.embeddings import UNK_TOKEN
-from embdistill.errors import ConfigError, ParseError
+from embdistill.embeddings import UNK_TOKEN, Vocabulary
+from embdistill.errors import ConfigError, DataError, ParseError
 
 from helpers import count_nodes, random_tree, serialize_tree
 
@@ -188,3 +193,75 @@ class TestLoadSplits:
         f = tmp_path / "t.txt"
         f.write_text("(1 X)\n\n(2 Y)\n")
         assert len(read_tree_file(f)) == 2
+
+
+def random_samples(rng, n, max_len=6):
+    return [Sample(rng.integers(0, 50, size=int(rng.integers(1, max_len + 1))),
+                   int(rng.integers(0, 5))) for _ in range(n)]
+
+
+def assert_same_set(a: SampleSet, b: SampleSet):
+    for name in ("tokens", "starts", "lengths", "labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.intp, name
+        assert np.array_equal(x, y), name
+
+
+class TestSampleSet:
+    def test_gather_equals_list_assembly(self):
+        rng = np.random.default_rng(0)
+        samples = random_samples(rng, 40)
+        samples[3] = Sample(np.array([7]), 2)
+        full = SampleSet.of(samples)
+        for indices in (rng.permutation(40)[:17], np.array([3, 3, 0, 3, 39, 0]),
+                        np.array([3]), np.arange(40)):
+            # the mini-batch as it was built from a list of Samples
+            picked = [samples[i] for i in indices]
+            lengths = np.array([s.tokens.size for s in picked])
+            starts = np.zeros_like(lengths)
+            np.cumsum(lengths[:-1], out=starts[1:])
+            listed = SampleSet(np.concatenate([s.tokens for s in picked]), starts, lengths,
+                               np.array([s.label for s in picked]))
+            assert_same_set(full[indices], listed)
+            assert_same_set(full[indices], SampleSet.of(picked))
+        assert_same_set(full[5:12], SampleSet.of(samples[5:12]))
+        assert_same_set(full[::-3], SampleSet.of(samples[::-3]))
+
+    def test_iteration_and_indexing_give_the_input_samples(self):
+        samples = random_samples(np.random.default_rng(1), 25)
+        full = SampleSet.of(samples)
+        assert len(full) == 25
+        for got, want in zip(full, samples, strict=True):
+            assert np.array_equal(got.tokens, want.tokens) and got.label == want.label
+        assert np.array_equal(full[-1].tokens, samples[-1].tokens)
+        assert full[np.int64(4)].label == samples[4].label
+        assert SampleSet.of(full) is full
+
+    def test_one_sample_is_a_set_of_one(self):
+        one = SampleSet.of(Sample(np.array([4, 1, 4]), 3))
+        assert_same_set(one, SampleSet.of([Sample(np.array([4, 1, 4]), 3)]))
+
+    def test_pickle_round_trip_is_equal(self):
+        full = SampleSet.of(random_samples(np.random.default_rng(2), 30))
+        for s in (full, full[np.array([4, 4, 9])]):
+            assert_same_set(pickle.loads(pickle.dumps(s)), s)
+
+    def test_splits_from_lists_equal_splits_from_sets(self):
+        rng = np.random.default_rng(3)
+        parts = [random_samples(rng, n) for n in (20, 7, 9)]
+        vocab = Vocabulary.from_words([f"w{i}" for i in range(49)])
+        from_lists = DatasetSplits(*parts, vocab)
+        from_sets = DatasetSplits(*(SampleSet.of(p) for p in parts), vocab)
+        for name in ("train", "valid", "test"):
+            assert isinstance(getattr(from_lists, name), SampleSet)
+            assert_same_set(getattr(from_lists, name), getattr(from_sets, name))
+
+    def test_empty_sample_rejected_empty_set_allowed(self):
+        bad = Sample(np.array([0]), 0)
+        bad.tokens = np.array([], dtype=np.intp)  # bypass Sample's own check
+        for samples in (bad, [Sample(np.array([1]), 0), bad]):
+            with pytest.raises(DataError, match="empty sample"):
+                SampleSet.of(samples)
+        empty = SampleSet.of([])
+        assert len(empty) == 0 and empty.tokens.dtype == np.intp
+        assert len(SampleSet.of(random_samples(np.random.default_rng(4), 5))[2:2]) == 0

@@ -8,16 +8,16 @@ from embdistill.embeddings import (
     EncoderLayer,
     Vocabulary,
     align_to_vocab,
-    encode,
     fold,
     init_random_table,
     load_table,
     load_word2vec_text,
-    lookup,
     save_table,
 )
 from embdistill.errors import ConfigError, DimensionError, FormatError, ParseError
 from embdistill.ops import one_hot
+
+from helpers import encode, lookup
 
 
 def random_table(rng, vocab_size=10, dim=4):

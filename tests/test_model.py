@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from embdistill.data import Sample
+from embdistill.data import Sample, SampleSet
 from embdistill.embeddings import (
     DistilledTable,
     EmbeddingTable,
@@ -248,8 +248,9 @@ class TestBatchEngine:
 
     def test_empty_batch_rejected(self):
         model = tiny_model(np.random.default_rng(35))
-        with pytest.raises(DataError, match="empty"):
-            forward(model, [])
+        for empty in ([], SampleSet.of([Sample(np.array([1]), 0)])[:0]):
+            with pytest.raises(DataError, match="empty"):
+                forward(model, empty)
 
     def test_chunked_prediction_over_many_samples(self):
         rng = np.random.default_rng(36)
