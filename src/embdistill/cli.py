@@ -45,8 +45,10 @@ from .embeddings import (
     EmbeddingTable,
     Vocabulary,
     align_to_vocab,
+    atomic_write,
     load_table,
     load_word2vec_text,
+    open_text,
 )
 from .errors import ConfigError, DataError, DivergenceError
 from .model import (
@@ -68,7 +70,7 @@ _SENTENCE_TRAIN = "train_sentence.samples"
 # config plumbing
 
 def _load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -127,7 +129,7 @@ def _out_dir(args) -> str:
 
 
 def _dump_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -136,7 +138,7 @@ def _dump_json(payload: dict, path) -> None:
 # prepared-dataset cache
 
 def _write_samples(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         for s in samples:
             fh.write(f"{s.label}\t{' '.join(str(int(t)) for t in s.tokens)}\n")
 
@@ -145,7 +147,7 @@ def _read_samples(path, vocab_size: int) -> SampleSet:
     """Prepared samples whose token ids all index a ``vocab_size`` table
     and whose labels are classes 0..N_CLASSES-1."""
     tokens, lengths, labels, linenos = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line:
@@ -161,6 +163,8 @@ def _read_samples(path, vocab_size: int) -> SampleSet:
             tokens.extend(ids)
             lengths.append(len(ids))
             linenos.append(lineno)
+    if not lengths:
+        raise DataError(f"{path}: no samples")
     lengths = np.array(lengths, dtype=np.intp)
     samples = SampleSet(np.array(tokens, dtype=np.intp), np.cumsum(lengths) - lengths,
                         lengths, np.array(labels, dtype=np.intp))
@@ -183,7 +187,7 @@ def _read_samples(path, vocab_size: int) -> SampleSet:
 
 
 def _read_vocab_file(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         words = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
     return Vocabulary.from_words(words)
 
@@ -239,7 +243,7 @@ def cmd_prepare(args) -> int:
     train = train_phrases if mode == ALL_PHRASES else train_sentences
 
     out = _out_dir(args)
-    with open(os.path.join(out, "vocab.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "vocab.txt"), "w") as fh:
         fh.write("\n".join(vocab.words) + "\n")
     _write_samples(os.path.join(out, "train.samples"), train)
     _write_samples(os.path.join(out, _SENTENCE_TRAIN), train_sentences)
@@ -440,7 +444,7 @@ def cmd_teacher(args) -> int:
     payload["toolkit_version"] = __version__
     payload["parameters"] = count_parameters(model)
     _dump_json(payload, os.path.join(out, "teacher_result.json"))
-    with open(os.path.join(out, "teacher.log"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "teacher.log"), "w") as fh:
         for epoch, (loss, acc) in enumerate(zip(result.train_losses, result.valid_accuracies)):
             fh.write(f"{epoch}\t{loss:.6f}\t{acc:.6f}\n")
     print(f"teacher validation accuracy: {100 * result.best_valid_accuracy:.1f}")
@@ -569,7 +573,7 @@ def cmd_bench(args) -> int:
 
 def _read_json(path) -> dict:
     """A JSON object from a result or bench file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -605,9 +609,9 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     tsv = format_tsv(report)
     txt = format_text(report)
-    with open(os.path.join(out, "report.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "report.tsv"), "w") as fh:
         fh.write(tsv)
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "report.txt"), "w") as fh:
         fh.write(txt)
     print(txt, end="")
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Vocabulary
+from .embeddings import Vocabulary, open_text
 from .errors import ConfigError, DataError, ParseError
 
 N_CLASSES = 5
@@ -206,7 +206,7 @@ def read_tree_file(path) -> list[LabeledTree]:
     context.
     """
     trees = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip():

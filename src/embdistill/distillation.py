@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, fold
-from .errors import ConfigError, FormatError
+from .embeddings import ArtifactReader, EmbeddingTable, atomic_write, fold, write_floats
+from .errors import ConfigError
 from .model import (
     ClassifierModel,
     ModelConfig,
@@ -93,30 +93,18 @@ class SoftTargetSet:
 def save_soft_targets(targets: SoftTargetSet, path) -> None:
     """Binary cache: magic "SFT1", u32 sample count, u32 n_classes,
     f32 temperature, then count x n_classes little-endian f32 rows."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_SFT_MAGIC)
-        n, c = targets.targets.shape
-        fh.write(struct.pack("<IIf", n, c, targets.temperature))
-        fh.write(targets.targets.astype("<f4").tobytes(order="C"))
+        fh.write(struct.pack("<IIf", *targets.targets.shape, targets.temperature))
+        write_floats(fh, targets.targets)
 
 
 def load_soft_targets(path) -> SoftTargetSet:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _SFT_MAGIC:
-            raise FormatError(f"{path}: not a soft-target cache (bad magic)")
-        head = fh.read(12)
-        if len(head) != 12:
-            raise FormatError(f"{path}: truncated header")
-        n, c, temperature = struct.unpack("<IIf", head)
-        buf = fh.read(4 * n * c)
-        if len(buf) != 4 * n * c:
-            raise FormatError(f"{path}: truncated target rows")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing data")
-    rows = np.frombuffer(buf, dtype="<f4").reshape((n, c)).astype(float)
-    # f32 rounding can push row sums slightly off 1; renormalize.
-    rows = rows / rows.sum(axis=1, keepdims=True)
-    return SoftTargetSet(float(temperature), rows)
+    with ArtifactReader(path, _SFT_MAGIC, "soft-target cache") as reader:
+        n, c, temperature = reader.unpack("<IIf", "header")
+        rows = reader.floats((n, c), "target rows")
+        # f32 rounding can push row sums slightly off 1; renormalize.
+        return SoftTargetSet(float(temperature), rows / rows.sum(axis=1, keepdims=True))
 
 
 def generate_soft_targets(
@@ -173,6 +161,14 @@ class MatchingSoftmaxObjective:
         return losses, backward_from_logit_grad(model, cache, dz / len(cache.batch))
 
 
+def _check_labels(splits, n_classes: int) -> None:
+    """Every label in the splits must be one of the model's classes."""
+    largest = max((int(s.labels.max()) for s in (splits.train, splits.valid, splits.test)
+                   if len(s)), default=0)
+    if largest >= n_classes:
+        raise ConfigError(f"the model has {n_classes} classes, but the data has label {largest}")
+
+
 def train_teacher(
     splits,
     table: EmbeddingTable,
@@ -181,6 +177,7 @@ def train_teacher(
     n_classes: int = 5,
 ) -> tuple[ClassifierModel, TrialResult]:
     """Train the large-scale model that will supply soft targets."""
+    _check_labels(splits, n_classes)
     config = ModelConfig(
         n_embed=table.dim,
         n_hidden=n_hidden,
@@ -244,6 +241,7 @@ def run_regime(
     jointly, then folds for deployment accounting.
     """
     vocab = splits.vocab
+    _check_labels(splits, n_classes)
     if regime.tag == ENCODING_DISTILL:
         if table is None:
             raise ConfigError("encoding regime needs the pretrained large table")

@@ -8,11 +8,15 @@ is what batched gathers and row updates read and write.
 The encoding layer squashes those columns into a lower-dimensional
 space; ``fold`` bakes the layer into a small replacement table so the
 large table and the layer itself can be dropped at deployment.
+The binary block format of the MDL1, EMB1 and SFT1 artifacts and the
+file helpers every artifact and text input goes through live here too.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +27,7 @@ from .ops import glorot
 UNK_TOKEN = "<unk>"
 
 _EMB_MAGIC = b"EMB1"
+_U32 = struct.Struct("<I")  # a token's byte length
 
 
 @dataclass
@@ -181,7 +186,7 @@ def load_word2vec_text(path) -> EmbeddingTable:
     The unknown token gets the mean of all loaded vectors unless the file
     itself provides one.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         raw = fh.read()
     lines = raw.split("\n")
     if lines and lines[-1] == "":
@@ -233,43 +238,136 @@ def load_word2vec_text(path) -> EmbeddingTable:
 def save_table(table: EmbeddingTable, path) -> None:
     """Write the native binary table format.
 
-    Layout: magic "EMB1", u32 LE |V|, u32 LE dim, then each token as
-    u32 LE byte length + UTF-8 bytes, then dim x |V| little-endian f32
-    values in column-major order.
+    Layout: magic "EMB1", u32 LE |V|, u32 LE dim, the vocabulary block,
+    then dim x |V| little-endian f32 values in column-major order.
     """
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_EMB_MAGIC)
         fh.write(struct.pack("<II", len(table.vocab), table.dim))
-        for word in table.vocab.words:
-            enc = word.encode("utf-8")
-            fh.write(struct.pack("<I", len(enc)))
-            fh.write(enc)
-        fh.write(table.matrix.astype("<f4").tobytes(order="F"))
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated table file while reading {what}")
-    return buf
+        write_vocabulary(fh, table.vocab)
+        write_floats(fh, table.matrix, order="F")
 
 
 def load_table(path) -> EmbeddingTable:
     """Read the native binary table format written by ``save_table``."""
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _EMB_MAGIC:
-            raise FormatError(f"{path}: not a native embedding table (bad magic)")
-        vocab_size, dim = struct.unpack("<II", _read_exact(fh, 8, "header"))
+    with ArtifactReader(path, _EMB_MAGIC, "native embedding table") as reader:
+        vocab_size, dim = reader.unpack("<II", "header")
+        vocab = reader.vocabulary(vocab_size)
+        return EmbeddingTable(vocab, reader.floats((dim, vocab_size), "matrix", order="F"))
+
+
+# ---------------------------------------------------------------------------
+# file helpers
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Write through a temporary file next to ``path``: it replaces
+    ``path`` when the block succeeds and is removed when it fails, so
+    ``path`` never holds a partly written artifact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+@contextmanager
+def open_text(path, error=ParseError):
+    """Open a UTF-8 text input; bytes that are not UTF-8 raise ``error``
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+# ---------------------------------------------------------------------------
+# the binary block format shared by the MDL1, EMB1 and SFT1 artifacts:
+# a 4-byte magic, fixed little-endian header fields, then blocks
+
+
+def write_vocabulary(fh, vocab: Vocabulary) -> None:
+    """The vocabulary block: each token as u32 LE byte length + UTF-8 bytes."""
+    for word in vocab.words:
+        enc = word.encode("utf-8")
+        fh.write(_U32.pack(len(enc)))
+        fh.write(enc)
+
+
+def write_floats(fh, a: np.ndarray, order: str = "C") -> None:
+    """An f32 block: every value of ``a`` as little-endian f32, in ``order``."""
+    fh.write(a.astype("<f4").tobytes(order=order))
+
+
+class ArtifactReader:
+    """Checked reads of one binary artifact, used as a context manager.
+
+    Creating the reader opens the file and checks its magic; leaving the
+    ``with`` block checks that nothing follows the last block and closes
+    the file.  Every problem, a ConfigError raised while the block builds
+    the artifact included, is a FormatError that names the file.
+    """
+
+    def __init__(self, path, magic: bytes, kind: str):
+        self.path = path
+        self._fh = open(path, "rb")
+        if self._fh.read(len(magic)) != magic:
+            self._fh.close()
+            raise self.error(f"not a {kind} (bad magic)")
+
+    def __enter__(self) -> "ArtifactReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._fh:
+            if isinstance(exc, ConfigError):
+                raise self.error(str(exc)) from None
+            if exc is None and self._fh.read(1):
+                raise self.error("trailing data after the last block")
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"{self.path}: {message}")
+
+    def read(self, n: int, what: str) -> bytes:
+        """Exactly the next ``n`` bytes."""
+        buf = self._fh.read(n)
+        if len(buf) != n:
+            raise self.error(f"truncated while reading {what}")
+        return buf
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        """The next ``struct`` record of format ``fmt``."""
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def vocabulary(self, size: int) -> Vocabulary:
+        """A vocabulary block of ``size`` distinct UTF-8 tokens, the
+        unknown token among them."""
+        read = self._fh.read  # runs |V| times: two reads and one decode a token
         words = []
-        for i in range(vocab_size):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4, f"token {i} length"))
-            words.append(_read_exact(fh, length, f"token {i}").decode("utf-8"))
-        data = np.frombuffer(
-            _read_exact(fh, 4 * dim * vocab_size, "matrix"), dtype="<f4"
-        )
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing data after table")
-    matrix = data.reshape((dim, vocab_size), order="F").astype(float)
-    if UNK_TOKEN not in words:
-        raise FormatError(f"{path}: stored vocabulary lacks the unknown token")
-    return EmbeddingTable(Vocabulary.from_words(words), matrix)
+        for i in range(size):
+            head = read(4)
+            if len(head) != 4:
+                raise self.error(f"truncated while reading token {i}")
+            (length,) = _U32.unpack(head)
+            token = read(length)
+            if len(token) != length:
+                raise self.error(f"truncated while reading token {i}")
+            try:
+                words.append(token.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise self.error(f"token {i} is not UTF-8") from None
+        vocab = Vocabulary.from_words(words)
+        if len(vocab) != size:
+            raise self.error("stored vocabulary lacks the unknown token")
+        return vocab
+
+    def floats(self, shape: tuple[int, ...], what: str, order: str = "C") -> np.ndarray:
+        """An f32 block of ``shape``, stored in ``order``, as float64."""
+        block = np.frombuffer(self.read(4 * int(np.prod(shape)), what), dtype="<f4")
+        return block.reshape(shape, order=order).astype(float)

@@ -22,10 +22,13 @@ import numpy as np
 
 from .data import Sample, SampleSet
 from .embeddings import (
+    ArtifactReader,
     DistilledTable,
     EmbeddingTable,
     EncoderLayer,
-    Vocabulary,
+    atomic_write,
+    write_floats,
+    write_vocabulary,
 )
 from .errors import (
     ConfigError,
@@ -52,6 +55,7 @@ REGIMES = (REGIME_DIRECT, REGIME_ENCODING, REGIME_MATCHING)
 
 _MDL_MAGIC = b"MDL1"
 _MDL_VERSION = 1
+_MDL_CONFIG = "<5I3Bf"  # see save_model
 
 # Prediction, evaluation and soft-target generation run this many
 # samples per forward pass, which bounds their temporaries.
@@ -412,63 +416,28 @@ def count_parameters(model: ClassifierModel) -> int:
 _REGIME_CODES = {tag: i for i, tag in enumerate(REGIMES)}
 
 
-def _write_array(fh, a: np.ndarray, order: str = "C") -> None:
-    fh.write(a.astype("<f4").tobytes(order=order))
-
-
-def _read_floats(fh, shape: tuple[int, ...], what: str, order: str = "C") -> np.ndarray:
-    n = int(np.prod(shape))
-    buf = fh.read(4 * n)
-    if len(buf) != 4 * n:
-        raise FormatError(f"truncated model file while reading {what}")
-    return np.frombuffer(buf, dtype="<f4").reshape(shape, order=order).astype(float)
-
-
 def save_model(model: ClassifierModel, path) -> None:
     """Write the native binary model format.
 
     Layout: magic "MDL1", u32 format version, config block (u32 dims:
     n_embed, n_distill, n_hidden, n_classes, |V|; u8 regime code, u8
-    has_encoder, u8 distilled_table; f32 dropout), the vocabulary as
-    length-prefixed UTF-8 tokens, then parameter blocks as little-endian
-    f32: table (column-major), encoder W and b (when present), hidden W
-    and b, output W and b (row-major).
+    has_encoder, u8 distilled_table; f32 dropout), the vocabulary block,
+    then one little-endian f32 block per parameter in
+    ``named_parameters`` order: table (column-major), encoder W and b
+    (when present), hidden W and b, output W and b (row-major).
     """
     cfg = model.config
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MDL_MAGIC)
         fh.write(struct.pack("<I", _MDL_VERSION))
-        fh.write(
-            struct.pack(
-                "<IIIII",
-                cfg.n_embed,
-                cfg.n_distill,
-                cfg.n_hidden,
-                cfg.n_classes,
-                len(model.embedding.vocab),
-            )
-        )
-        fh.write(
-            struct.pack(
-                "<BBBf",
-                _REGIME_CODES[cfg.regime],
-                1 if model.encoder is not None else 0,
-                1 if isinstance(model.embedding, DistilledTable) else 0,
-                cfg.dropout_rate,
-            )
-        )
-        for word in model.embedding.vocab.words:
-            enc = word.encode("utf-8")
-            fh.write(struct.pack("<I", len(enc)))
-            fh.write(enc)
-        _write_array(fh, model.embedding.matrix, order="F")
-        if model.encoder is not None:
-            _write_array(fh, model.encoder.w_encode)
-            _write_array(fh, model.encoder.b_encode)
-        _write_array(fh, model.hidden_w)
-        _write_array(fh, model.hidden_b)
-        _write_array(fh, model.out_w)
-        _write_array(fh, model.out_b)
+        fh.write(struct.pack(
+            _MDL_CONFIG, cfg.n_embed, cfg.n_distill, cfg.n_hidden, cfg.n_classes,
+            len(model.embedding.vocab), _REGIME_CODES[cfg.regime], model.encoder is not None,
+            isinstance(model.embedding, DistilledTable), cfg.dropout_rate,
+        ))
+        write_vocabulary(fh, model.embedding.vocab)
+        for name, a in model.named_parameters():
+            write_floats(fh, a, order="F" if name == "embedding" else "C")
 
 
 def load_model(path, expected_config: ModelConfig | None = None) -> ClassifierModel:
@@ -478,65 +447,34 @@ def load_model(path, expected_config: ModelConfig | None = None) -> ClassifierMo
     regime, or dropout raises a FormatError instead of returning a
     surprising model.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MDL_MAGIC:
-            raise FormatError(f"{path}: not a native model file (bad magic)")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise FormatError(f"{path}: truncated header")
-        (version,) = struct.unpack("<I", raw)
+    with ArtifactReader(path, _MDL_MAGIC, "native model file") as reader:
+        (version,) = reader.unpack("<I", "format version")
         if version != _MDL_VERSION:
-            raise FormatError(f"{path}: unsupported model format version {version}")
-        raw = fh.read(20 + 7)
-        if len(raw) != 27:
-            raise FormatError(f"{path}: truncated config block")
-        n_embed, n_distill, n_hidden, n_classes, vocab_size = struct.unpack(
-            "<IIIII", raw[:20]
-        )
-        regime_code, has_encoder, distilled, dropout = struct.unpack("<BBBf", raw[20:])
+            raise reader.error(f"unsupported model format version {version}")
+        (n_embed, n_distill, n_hidden, n_classes, vocab_size,
+         regime_code, has_encoder, distilled, dropout) = reader.unpack(_MDL_CONFIG, "config block")
         if regime_code >= len(REGIMES):
-            raise FormatError(f"{path}: unknown regime code {regime_code}")
-        config = ModelConfig(
-            n_embed=n_embed,
-            n_hidden=n_hidden,
-            n_classes=n_classes,
-            n_distill=n_distill,
-            dropout_rate=float(np.float32(dropout)),
-            regime=REGIMES[regime_code],
-        )
-        words = []
-        for i in range(vocab_size):
-            raw = fh.read(4)
-            if len(raw) != 4:
-                raise FormatError(f"{path}: truncated vocabulary")
-            (length,) = struct.unpack("<I", raw)
-            token = fh.read(length)
-            if len(token) != length:
-                raise FormatError(f"{path}: truncated vocabulary token")
-            words.append(token.decode("utf-8"))
-        vocab = Vocabulary.from_words(words)
-        if len(vocab) != vocab_size:
-            raise FormatError(f"{path}: stored vocabulary lacks the unknown token")
-
+            raise reader.error(f"unknown regime code {regime_code}")
+        config = ModelConfig(n_embed, n_hidden, n_classes, n_distill,
+                             float(np.float32(dropout)), REGIMES[regime_code])
+        vocab = reader.vocabulary(vocab_size)
         table_dim = n_distill if distilled else n_embed
-        matrix = _read_floats(fh, (table_dim, vocab_size), "embedding table", order="F")
-        table_cls = DistilledTable if distilled else EmbeddingTable
-        embedding = table_cls(vocab, matrix)
+        matrix = reader.floats((table_dim, vocab_size), "embedding table", order="F")
+        embedding = (DistilledTable if distilled else EmbeddingTable)(vocab, matrix)
         encoder = None
         if has_encoder:
-            w = _read_floats(fh, (n_distill, n_embed), "encoder weights")
-            b = _read_floats(fh, (n_distill,), "encoder bias")
-            encoder = EncoderLayer(w, b)
+            encoder = EncoderLayer(
+                reader.floats((n_distill, n_embed), "encoder weights"),
+                reader.floats((n_distill,), "encoder bias"),
+            )
         in_dim = n_distill if (has_encoder or distilled) else n_embed
-        hidden_w = _read_floats(fh, (n_hidden, in_dim), "hidden weights")
-        hidden_b = _read_floats(fh, (n_hidden,), "hidden bias")
-        out_w = _read_floats(fh, (n_classes, n_hidden), "output weights")
-        out_b = _read_floats(fh, (n_classes,), "output bias")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing data after parameters")
-
-    model = ClassifierModel(config, embedding, encoder, hidden_w, hidden_b, out_w, out_b)
+        model = ClassifierModel(
+            config, embedding, encoder,
+            reader.floats((n_hidden, in_dim), "hidden weights"),
+            reader.floats((n_hidden,), "hidden bias"),
+            reader.floats((n_classes, n_hidden), "output weights"),
+            reader.floats((n_classes,), "output bias"),
+        )
     if expected_config is not None:
         mismatch = (
             config.n_embed != expected_config.n_embed

@@ -23,8 +23,9 @@ LOG_CLAMP = 1e-12
 def one_hot(index, n: int) -> np.ndarray:
     """Indicator vector of ``index``; an array of indices gives one row each."""
     index = np.asarray(index)
-    if np.any((index < 0) | (index >= n)):
-        raise ConfigError(f"one_hot: index {index} outside [0, {n})")
+    bad = (index < 0) | (index >= n)
+    if bad.any():
+        raise ConfigError(f"one_hot: index {index[bad][0]} outside [0, {n})")
     return (index[..., None] == np.arange(n)).astype(float)
 
 

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import SampleSet
-from .embeddings import EmbeddingTable, Vocabulary, init_random_table
-from .errors import ConfigError, DivergenceError
+from .embeddings import EmbeddingTable, Vocabulary, atomic_write, init_random_table
+from .errors import ConfigError, DataError, DivergenceError
 from .model import (
     ClassifierModel,
     Gradients,
@@ -159,6 +159,8 @@ def sgd_epoch(
     if objective is None:
         objective = standard_objective
     samples = SampleSet.of(samples)
+    if len(samples) == 0:
+        raise DataError("cannot train on an empty sample set")
     order = rng.permutation(len(samples))
     losses = []
     for batch_index, start in enumerate(range(0, len(order), batch_size)):
@@ -259,7 +261,7 @@ def train_trial(
     model.restore(best_state)
     seconds = time.perf_counter() - started
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with atomic_write(log_path, "w") as fh:
             fh.write("\n".join(log_lines) + "\n")
     result = TrialResult(
         config=cfg,

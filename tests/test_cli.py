@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -469,6 +470,75 @@ class TestErrorContract:
         capsys.readouterr()
         assert run_cli("eval", "--model", out / "best.mdl", "--data", data) == 3
         assert "test.samples:2: label -1 outside 0..4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_empty_prepared_split_exit_3(self, toy_corpus, tmp_path, capsys, split):
+        data = prepare(toy_corpus, tmp_path / "data")
+        (data / f"{split}.samples").write_text("")
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embed-dim", "4",
+                       "--hidden", "5", *FAST, "--out", tmp_path / "direct") == 3
+        assert f"{split}.samples: no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "teacher"])
+    def test_classes_below_the_labels_exit_2(self, toy_corpus, tmp_path, capsys, command):
+        data = prepare(toy_corpus, tmp_path / "data")
+        inputs = {
+            "train": ["--regime", "direct", "--embed-dim", "4", *FAST],
+            "teacher": ["--embeddings", toy_corpus / "large_vecs.txt", "--epochs", "1"],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(command, "--data", data, *inputs, "--classes", "3", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the model has 3 classes, but the data has label 4\n"
+        assert not list(out.rglob("*.log")) and not list(out.rglob("*.mdl"))
+
+    def test_duplicate_table_token_exit_3(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        table = tmp_path / "dup.emb"
+        blob = b"EMB1" + struct.pack("<II", 3, 1)
+        for token in (b"w0x0", b"w0x0", b"<unk>"):
+            blob += struct.pack("<I", len(token)) + token
+        table.write_bytes(blob + bytes(12))
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embeddings", table,
+                       *FAST, "--out", tmp_path / "out") == 3
+        assert f"{table}: duplicate vocabulary token 'w0x0'" in capsys.readouterr().err
+
+
+class TestNonUtf8Inputs:
+    """A text input with bytes that are not UTF-8 is a typed error naming
+    the file: a data error, or a configuration error for --config."""
+
+    @pytest.mark.parametrize("kind, code", [
+        ("tree", 3), ("vectors", 3), ("vocab", 3), ("samples", 3), ("config", 2),
+        ("compare", 3),
+    ])
+    def test_exit_code_names_the_file(self, toy_corpus, tmp_path, capsys, kind, code):
+        data = prepare(toy_corpus, tmp_path / "data")
+        train = ["train", "--data", data, "--regime", "direct", "--embed-dim", "4", *FAST,
+                 "--out", tmp_path / "out"]
+        json_file = tmp_path / "input.json"
+        json_file.write_text('{"regime": "direct"}\n')
+        bad, argv = {
+            "tree": (toy_corpus / "valid.txt",
+                     ["prepare", "--train", toy_corpus / "train.txt", "--valid",
+                      toy_corpus / "valid.txt", "--test", toy_corpus / "test.txt",
+                      "--out", tmp_path / "again"]),
+            "vectors": (toy_corpus / "small_vecs.txt",
+                        ["train", "--data", data, "--regime", "direct", "--embeddings",
+                         toy_corpus / "small_vecs.txt", *FAST, "--out", tmp_path / "out"]),
+            "vocab": (data / "vocab.txt", train),
+            "samples": (data / "train.samples", train),
+            "config": (json_file, ["train", "--config", json_file]),
+            "compare": (json_file, ["compare", "--results", json_file,
+                                    "--out", tmp_path / "report"]),
+        }[kind]
+        bad.write_bytes(bad.read_bytes() + "café\n".encode("latin-1"))
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestUnparsableNumbers:

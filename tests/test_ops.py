@@ -188,6 +188,16 @@ class TestSoftmaxT:
             assert all(a >= b - 1e-12 for a, b in zip(peaks, peaks[1:]))
 
 
+class TestOneHot:
+    def test_rows_of_a_batch(self):
+        assert np.array_equal(one_hot(np.array([2, 0]), 3), [[0, 0, 1], [1, 0, 0]])
+
+    def test_error_names_only_the_first_bad_index(self):
+        with pytest.raises(ConfigError) as info:
+            one_hot(np.array([0, 1, 7, 2, 9] * 40), 3)
+        assert str(info.value) == "one_hot: index 7 outside [0, 3)"
+
+
 class TestCrossEntropy:
     def test_perfect_prediction(self):
         t = one_hot(0, 4)

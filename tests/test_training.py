@@ -6,7 +6,7 @@ import pytest
 from embdistill.data import DatasetSplits, Sample
 from embdistill.distillation import MatchingSoftmaxObjective, SoftTargetSet
 from embdistill.embeddings import init_random_table
-from embdistill.errors import ConfigError, DivergenceError
+from embdistill.errors import ConfigError, DataError, DivergenceError
 from embdistill.model import ModelConfig, evaluate_accuracy, forward, backward
 from embdistill.ops import cross_entropy, one_hot, softmax_t
 from embdistill.training import (
@@ -129,6 +129,11 @@ class TestSgdEpoch:
             with pytest.raises(DivergenceError, match="lr="):
                 for _ in range(5):
                     sgd_epoch(model, splits.train, 1e200, 8, 0.0, rng)
+
+    def test_empty_set_is_data_error(self):
+        factory, splits = tiny_factory()
+        with pytest.raises(DataError, match="empty"):
+            sgd_epoch(factory.build(0), splits.train[:0], 0.1, 5, 0.0, np.random.default_rng(0))
 
     def test_version_bumps_per_batch(self):
         factory, splits = tiny_factory()
