@@ -187,8 +187,17 @@ def _read_samples(path, vocab_size: int) -> SampleSet:
 
 
 def _read_vocab_file(path) -> Vocabulary:
+    """The prepared vocabulary, one token per line; blank lines are skipped."""
+    words, seen = [], set()
     with open_text(path) as fh:
-        words = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        for lineno, raw in enumerate(fh, start=1):
+            word = raw.rstrip("\n")
+            if not word:
+                continue
+            if word in seen:
+                raise DataError(f"{path}:{lineno}: duplicate vocabulary token {word!r}")
+            seen.add(word)
+            words.append(word)
     return Vocabulary.from_words(words)
 
 
@@ -489,45 +498,45 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# Each timed sweep is padded to at least this long so scheduler noise
-# stays small relative to the measurement.
+# Each slot of a rep's palindromes runs sweeps for about this long.
 _MIN_REP_SECONDS = 0.1
 
 
-def _predict_each(model, samples) -> None:
-    """The deployed use: one ``predict`` call per sample."""
-    for s in samples:
+def _predict_each(model, samples) -> np.ndarray:
+    """The deployed use: one ``predict`` call per sample, each timed."""
+    clock = time.perf_counter
+    seconds = np.empty(len(samples))
+    for i, s in enumerate(samples):
+        start = clock()
         predict(model, s)
+        seconds[i] = clock() - start
+    return seconds
 
 
-def _time_pass(sweep, model, samples, loops: int = 1) -> float:
-    """Seconds for one ``sweep(model, samples)`` over the corpus
-    (averaged over ``loops`` back-to-back sweeps)."""
+def _evaluate_all(model, samples) -> np.ndarray:
+    """One batched ``evaluate_accuracy`` sweep, timed as a whole."""
     start = time.perf_counter()
-    for _ in range(loops):
-        sweep(model, samples)
-    return (time.perf_counter() - start) / loops
+    evaluate_accuracy(model, samples)
+    return np.array([time.perf_counter() - start])
 
 
 def _fastest_seconds(sweep, large, small, samples, reps: int) -> tuple[float, float]:
-    """Seconds per sweep of each model in its fastest rep.
+    """Seconds per sweep of each model: the fastest run of every part a
+    sweep times, over all its sweeps, summed over the parts.
 
-    Warm-up passes double as probes that size the repetitions; each rep
-    then measures in palindrome order (large, small, small, large) so
-    clock drift and measurement-slot bias cancel for both models.  The
-    fastest rep is the one least slowed by other load on the host.
+    Warm-up sweeps double as probes that size the repetitions; sweeps
+    then run in palindrome order (large, small, small, large).  The
+    host's speed drifts over milliseconds to seconds, so a whole sweep
+    rarely runs at full speed, while each short part (one ``predict``
+    call) does in some sweep; a stall shows in no part's fastest run.
     """
-    probe = min(_time_pass(sweep, large, samples), _time_pass(sweep, small, samples))
+    probe = min(sweep(large, samples).sum(), sweep(small, samples).sum())
     loops = max(1, int(np.ceil(_MIN_REP_SECONDS / max(probe, 1e-9))))
-    large_times, small_times = [], []
-    for _ in range(reps):
-        first = _time_pass(sweep, large, samples, loops)
-        inner_a = _time_pass(sweep, small, samples, loops)
-        inner_b = _time_pass(sweep, small, samples, loops)
-        last = _time_pass(sweep, large, samples, loops)
-        large_times.append((first + last) / 2.0)
-        small_times.append((inner_a + inner_b) / 2.0)
-    return min(large_times), min(small_times)
+    best = [np.inf, np.inf]  # large, small
+    for _ in range(reps * loops):
+        for which in (0, 1, 1, 0):
+            best[which] = np.minimum(best[which], sweep((large, small)[which], samples))
+    return float(best[0].sum()), float(best[1].sum())
 
 
 def cmd_bench(args) -> int:
@@ -547,7 +556,7 @@ def cmd_bench(args) -> int:
     # interpreter overhead
     large_sec, small_sec = _fastest_seconds(_predict_each, large, small, list(samples), reps)
     large_batched, small_batched = _fastest_seconds(
-        evaluate_accuracy, large, small, samples, reps
+        _evaluate_all, large, small, samples, reps
     )
     payload = {
         "large_seconds": large_sec,

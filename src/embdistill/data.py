@@ -85,8 +85,8 @@ class SampleSet:
         if isinstance(samples, Sample):
             if samples.tokens.size == 0:
                 raise DataError("empty sample: a sample needs at least one token")
-            return cls(samples.tokens, _FIRST, np.array([samples.tokens.size]),
-                       np.array([samples.label]))
+            return cls(samples.tokens, np.zeros(1, dtype=np.intp),
+                       np.array([samples.tokens.size]), np.array([samples.label]))
         n = len(samples)
         lengths = np.fromiter((s.tokens.size for s in samples), np.intp, n)
         if n and lengths.min() == 0:
@@ -108,10 +108,6 @@ class SampleSet:
         where = np.repeat(self.starts[key] - starts, lengths)
         where += np.arange(where.size)
         return SampleSet(self.tokens[where], starts, lengths, self.labels[key])
-
-
-_FIRST = np.zeros(1, dtype=np.intp)  # the start of a lone sample
-_FIRST.flags.writeable = False
 
 
 @dataclass

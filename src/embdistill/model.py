@@ -8,7 +8,8 @@ encoder; predictions are identical.
 
 Forward and backward passes work on a batch, a ``SampleSet`` or anything
 ``SampleSet.of`` takes.  A single ``Sample`` is a batch of one whose
-per-sample outputs are 1-D.
+per-sample outputs are 1-D; ``forward`` runs it without making its
+SampleSet, the path a deployed model's ``predict`` serves.
 """
 
 from __future__ import annotations
@@ -192,12 +193,14 @@ class ClassifierModel:
 class ForwardCache:
     """Intermediate values one backward pass needs.
 
-    Per-sample arrays have one row per sample (1-D for a single Sample).
-    ``rows`` and ``encoded`` are set only when an encoder runs: the table
-    rows and encodings of the batch's distinct tokens, ids ascending.
+    ``samples`` is what ``forward`` ran on: a lone Sample, or the
+    SampleSet it made of its input.  Per-sample arrays have one row per
+    sample (1-D for a lone Sample).  ``rows`` and ``encoded`` are set
+    only when an encoder runs: the table rows and encodings of the
+    batch's distinct tokens, ids ascending.
     """
 
-    batch: SampleSet
+    samples: Sample | SampleSet
     rows: np.ndarray | None      # (distinct tokens, table_dim)
     encoded: np.ndarray | None   # (distinct tokens, n_distill)
     pool: np.ndarray
@@ -206,6 +209,12 @@ class ForwardCache:
     hidden: np.ndarray           # after dropout
     logits: np.ndarray
     model_version: int
+
+    @property
+    def batch(self) -> SampleSet:
+        """The samples as a SampleSet (a lone Sample's is made on demand,
+        only for a backward pass or an objective)."""
+        return SampleSet.of(self.samples)
 
 
 @dataclass
@@ -238,14 +247,13 @@ def _segment_sums(
     for j < lengths[i], in j order.
 
     That is the order in which ``ndarray.sum(axis=0)`` adds the rows of
-    one segment, so a segment's sum is the same bits alone or among any
+    a block more than one column wide (a one-column block it adds
+    pairwise), and a segment's sum is the same bits alone or among any
     others.  All segments add their j-th row in one step, longest
     segments first.  (``np.add.reduceat`` adds pairwise with one strided
     pass per column: three times the cost of a row sum for one 300-dim
     sentence, and a pass per column even for segments of one row.)
     """
-    if len(starts) == 1:
-        return rows[index[starts[0] : starts[0] + lengths[0]]].sum(axis=0, keepdims=True)
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     position = np.arange(lengths[0])[:, None]
@@ -276,24 +284,34 @@ def forward(
     (samples, classes)) or one Sample (``y`` is 1-D).  Dropout (on the
     hidden layer output) is active only in train mode.
     """
-    batch = SampleSet.of(samples)
-    if len(batch) == 0:
-        raise DataError("cannot classify an empty batch")
+    lone = isinstance(samples, Sample)
+    if not lone:
+        samples = SampleSet.of(samples)
+        if len(samples) == 0:
+            raise DataError("cannot classify an empty batch")
+    elif samples.tokens.size == 0:
+        raise DataError("empty sample: a sample needs at least one token")
     table = model.embedding.matrix.T  # one word vector per row
+    tokens = samples.tokens
     rows = encoded = None
     if model.encoder is not None:
         # every distinct token is encoded once
-        ids, where = np.unique(batch.tokens, return_inverse=True)
+        ids, tokens = np.unique(tokens, return_inverse=True)
         rows = table[ids]
-        encoded = model.encoder.encode_columns(rows.T).T
-        pool = _segment_sums(encoded, where, batch.starts, batch.lengths)
+        table = encoded = model.encoder.encode_columns(rows.T).T
+    if lone:
+        # the bits of the sample's row in any batch: its rows added in
+        # ``_segment_sums``' order, which ``sum(axis=0)`` keeps unless the
+        # block is one column wide (numpy then adds pairwise).  ``take``
+        # copies the rows of ``table[tokens]`` in a third of its time.
+        gathered = table.take(tokens, axis=0)
+        if gathered.shape[1] > 1:
+            pool = gathered.sum(axis=0) / tokens.size
+        else:
+            pool = np.cumsum(gathered, axis=0)[-1] / tokens.size
     else:
-        pool = _segment_sums(table, batch.tokens, batch.starts, batch.lengths)
-    if isinstance(samples, Sample):
-        # the same bits as the batch division, without its broadcast
-        pool = pool[0] / batch.tokens.size
-    else:
-        pool /= batch.lengths[:, None]
+        pool = _segment_sums(table, tokens, samples.starts, samples.lengths)
+        pool /= samples.lengths[:, None]
 
     hidden_act = tanh_forward(affine_forward(model.hidden_w, pool, model.hidden_b))
     rate = model.config.dropout_rate if dropout_rate is None else dropout_rate
@@ -307,7 +325,7 @@ def forward(
     logits = affine_forward(model.out_w, hidden, model.out_b)
     y = softmax_t(logits, temperature)
     cache = ForwardCache(
-        batch, rows, encoded, pool, hidden_act, mask, hidden, logits, model.version
+        samples, rows, encoded, pool, hidden_act, mask, hidden, logits, model.version
     )
     return y, cache
 

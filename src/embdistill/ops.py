@@ -101,11 +101,17 @@ def softmax_t(z: np.ndarray, temperature: float) -> np.ndarray:
     last axis (each row of a batch on its own).
 
     Uses max subtraction so large logits (early training at high
-    learning rates) cannot overflow.
+    learning rates) cannot overflow.  A vector reduces to scalars, the
+    same bits as its batch of one without the ``keepdims`` broadcasts.
     """
     if temperature <= 0:
         raise ConfigError(f"softmax temperature must be > 0, got {temperature}")
     scaled = np.asarray(z, dtype=float) / temperature
+    if scaled.ndim == 1:
+        scaled -= scaled.max()
+        np.exp(scaled, out=scaled)
+        scaled /= scaled.sum()
+        return scaled
     scaled -= scaled.max(axis=-1, keepdims=True)
     np.exp(scaled, out=scaled)
     scaled /= scaled.sum(axis=-1, keepdims=True)

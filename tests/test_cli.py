@@ -506,6 +506,17 @@ class TestErrorContract:
                        *FAST, "--out", tmp_path / "out") == 3
         assert f"{table}: duplicate vocabulary token 'w0x0'" in capsys.readouterr().err
 
+    def test_duplicate_vocab_line_exit_3(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        vocab_file = data / "vocab.txt"
+        words = vocab_file.read_text().splitlines()
+        vocab_file.write_text("\n".join(words + [words[0]]) + "\n")
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embed-dim", "4",
+                       "--hidden", "5", *FAST, "--out", tmp_path / "direct") == 3
+        err = capsys.readouterr().err
+        assert f"vocab.txt:{len(words) + 1}: duplicate vocabulary token {words[0]!r}" in err
+
 
 class TestNonUtf8Inputs:
     """A text input with bytes that are not UTF-8 is a typed error naming

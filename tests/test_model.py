@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embdistill.data import Sample, SampleSet
 from embdistill.embeddings import (
@@ -19,6 +21,7 @@ from embdistill.model import (
     ClassifierModel,
     ModelConfig,
     backward,
+    class_distributions,
     count_parameters,
     evaluate_accuracy,
     forward,
@@ -261,6 +264,87 @@ class TestBatchEngine:
         assert labels.shape == (450,)
         for i in (0, 199, 200, 449):
             assert labels[i] == predict(model, samples[i])
+
+
+@st.composite
+def models_without_encoder(draw):
+    """A direct model or a folded-shaped one (a DistilledTable and no
+    encoder), its table word-major or not, its table and output weights
+    at a drawn scale so that some logits are large."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab_size = draw(st.integers(2, 30))
+    dim = draw(st.integers(1, 12))
+    n_hidden = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(2, 6))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    vocab = Vocabulary.from_words([f"w{i}" for i in range(vocab_size - 1)])
+    matrix = rng.normal(scale=scale, size=(dim, vocab_size))
+    if draw(st.booleans()):
+        matrix = np.asfortranarray(matrix)
+    if draw(st.booleans()):
+        table = DistilledTable(vocab, matrix)
+        config = ModelConfig(dim + 1, n_hidden, n_classes, n_distill=dim, regime="encoding")
+    else:
+        table = EmbeddingTable(vocab, matrix)
+        config = ModelConfig(dim, n_hidden, n_classes)
+    model = ClassifierModel.initialize(config, table, rng)
+    model.out_w *= scale
+    return model
+
+
+class TestLoneSample:
+    """A lone Sample on a model without an encoder runs its own short
+    forward path; it must give the bits of its row in any batch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_forward_and_predict_equal_the_sample_row_of_its_set(self, data):
+        model = data.draw(models_without_encoder())
+        assert model.encoder is None
+        token_lists = data.draw(st.lists(
+            st.lists(st.integers(0, len(model.embedding.vocab) - 1), min_size=1, max_size=45),
+            min_size=1, max_size=12,
+        ))
+        samples = SampleSet.of([Sample(np.array(t), 0) for t in token_lists])
+        rows = class_distributions(model, samples)
+        for i in range(len(samples)):
+            y, _ = forward(model, samples[i])
+            assert y.shape == rows[i].shape
+            assert np.array_equal(y, rows[i])
+            assert predict(model, samples[i]) == int(rows[i].argmax())
+
+    def test_one_column_table_adds_rows_in_order(self):
+        # numpy sums a one-column block pairwise; a batch adds row by row
+        rng = np.random.default_rng(41)
+        model = tiny_model(rng, vocab_size=20, n_embed=1)
+        samples = [Sample(rng.integers(0, 20, size=30), 0), Sample(np.array([3]), 0)]
+        _, cache = forward(model, samples)
+        _, alone = forward(model, samples[0])
+        assert np.array_equal(alone.pool, cache.pool[0])
+
+    def test_predict_builds_no_sample_set(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        direct = tiny_model(rng)
+        folded = fold_model(tiny_model(rng, n_distill=3))
+        sample = Sample(np.array([0, 3, 3, 1]), 0)
+        expected = [predict(direct, sample), predict(folded, sample)]
+
+        def refuse(cls, samples):
+            raise AssertionError("SampleSet.of called")
+
+        monkeypatch.setattr(SampleSet, "of", classmethod(refuse))
+        assert [predict(direct, sample), predict(folded, sample)] == expected
+
+    def test_cache_makes_the_batch_only_when_asked(self):
+        model = tiny_model(np.random.default_rng(41))
+        sample = Sample(np.array([2, 0]), 1)
+        _, cache = forward(model, sample)
+        assert cache.samples is sample
+        batch = cache.batch
+        assert batch.tokens.tolist() == [2, 0] and batch.labels.tolist() == [1]
+        samples = SampleSet.of(mixed_batch())
+        _, cache = forward(model, samples)
+        assert cache.batch is samples
 
 
 class TestWordMajorLayout:

@@ -187,6 +187,23 @@ class TestSoftmaxT:
             peaks = [softmax_t(z, t).max() for t in (1, 2, 3, 5, 10)]
             assert all(a >= b - 1e-12 for a, b in zip(peaks, peaks[1:]))
 
+    @pytest.mark.parametrize("temp", [0.5, 1.0, 2.0])
+    def test_vector_equals_its_batch_of_one(self, temp):
+        rng = np.random.default_rng(9)
+        cases = [
+            rng.normal(size=5),
+            np.array([1.5, -0.3, 1.5, 1.5]),           # tied logits
+            np.array([800.0, 800.0, 799.5, -750.0]),   # large, tied
+            rng.normal(scale=1e3, size=40),
+            np.array([3.0]),
+        ]
+        for z in cases:
+            before = z.copy()
+            y = softmax_t(z, temp)
+            assert y.shape == z.shape
+            assert np.array_equal(y, softmax_t(z[None], temp)[0])
+            assert np.array_equal(z, before)
+
 
 class TestOneHot:
     def test_rows_of_a_batch(self):
