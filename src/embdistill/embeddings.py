@@ -184,54 +184,73 @@ def load_word2vec_text(path) -> EmbeddingTable:
 
     Vector values are parsed as float32 (the format's native precision).
     The unknown token gets the mean of all loaded vectors unless the file
-    itself provides one.
+    itself provides one.  The file is read a line at a time straight into
+    the returned (dim, |V|) float64 matrix, so memory stays about the
+    size of that matrix; a value that is not finite is a ParseError.
     """
-    with open_text(path) as fh:
-        raw = fh.read()
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    lines = [ln.rstrip("\r") for ln in lines]
-    if not lines:
-        raise ParseError(f"{path}:1: empty file")
-
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"{path}:1: header must be '<count> <dim>', got {lines[0]!r}")
-    try:
-        count, dim = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(f"{path}:1: non-integer header {lines[0]!r}") from None
-    if count < 1 or dim < 1:
-        raise ParseError(f"{path}:1: header counts must be positive")
-    if len(lines) - 1 != count:
-        raise ParseError(
-            f"{path}: header declares {count} vectors, file has {len(lines) - 1}"
-        )
-
-    words: list[str] = []
-    seen: set[str] = set()
-    vectors = np.empty((dim, count), dtype=np.float32)
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise ParseError(
-                f"{path}:{lineno}: expected token plus {dim} values, got {len(parts)} fields"
-            )
-        token = parts[0]
-        if token in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate word {token!r}")
-        seen.add(token)
+    # a value past float32's range parses to inf, and inf and -inf average
+    # to nan, without a warning: non-finite values are rejected below
+    with open_text(path) as fh, np.errstate(over="ignore", invalid="ignore"):
+        header = fh.readline()
+        if not header:
+            raise ParseError(f"{path}:1: empty file")
+        header = header.rstrip("\n")
+        head = header.split()
+        if len(head) != 2:
+            raise ParseError(f"{path}:1: header must be '<count> <dim>', got {header!r}")
         try:
-            vectors[:, len(words)] = np.array(parts[1:], dtype=np.float32)
+            count, dim = int(head[0]), int(head[1])
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
-        words.append(token)
+            raise ParseError(f"{path}:1: non-integer header {header!r}") from None
+        if count < 1 or dim < 1:
+            raise ParseError(f"{path}:1: header counts must be positive")
+        try:
+            # one spare column for the unknown token
+            matrix = np.empty((dim, count + 1))
+        except (MemoryError, ValueError):
+            raise ParseError(
+                f"{path}:1: header declares {count} vectors of dim {dim}, too many to hold"
+            ) from None
 
-    matrix = vectors.astype(float)
-    if UNK_TOKEN not in seen:
-        unk = matrix.mean(axis=1, keepdims=True)
-        matrix = np.hstack([matrix, unk])
+        words: list[str] = []
+        seen: set[str] = set()
+        for lineno, line in enumerate(fh, start=2):
+            if len(words) == count:
+                raise ParseError(f"{path}: header declares {count} vectors, file has more")
+            parts = line.split()
+            if len(parts) != dim + 1:
+                raise ParseError(
+                    f"{path}:{lineno}: expected token plus {dim} values, "
+                    f"got {len(parts)} fields"
+                )
+            token = parts[0]
+            if token in seen:
+                raise ParseError(f"{path}:{lineno}: duplicate word {token!r}")
+            seen.add(token)
+            try:
+                matrix[:, len(words)] = np.array(parts[1:], dtype=np.float32)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
+            words.append(token)
+        if len(words) != count:
+            raise ParseError(f"{path}: header declares {count} vectors, file has {len(words)}")
+
+        # float32 values cannot add up past the float64 range, so a row's
+        # mean is finite exactly when all its values are
+        unk = matrix[:, :count].mean(axis=1)
+        if not np.isfinite(unk).all():
+            column = np.flatnonzero(~np.isfinite(matrix[:, :count]).all(axis=0))[0]
+            raise ParseError(f"{path}:{column + 2}: non-finite vector value")
+
+    if UNK_TOKEN in seen:
+        # drop the spare column in place, with no second copy of the
+        # table: row r moves r places to the left
+        flat = matrix.reshape(-1)
+        for r in range(1, dim):
+            flat[r * count:(r + 1) * count] = flat[r * (count + 1):r * (count + 1) + count]
+        matrix = flat[: dim * count].reshape(dim, count)
+    else:
+        matrix[:, count] = unk
     return EmbeddingTable(Vocabulary.from_words(words), matrix)
 
 

@@ -517,6 +517,18 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert f"vocab.txt:{len(words) + 1}: duplicate vocabulary token {words[0]!r}" in err
 
+    def test_non_finite_vector_value_exit_3(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        vectors = tmp_path / "nan.txt"
+        lines = (toy_corpus / "small_vecs.txt").read_text().splitlines()
+        token, *values = lines[4].split()
+        lines[4] = " ".join([token, "nan", *values[1:]])
+        vectors.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embeddings", vectors,
+                       *FAST, "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err == f"error: {vectors}:5: non-finite vector value\n"
+
 
 class TestNonUtf8Inputs:
     """A text input with bytes that are not UTF-8 is a typed error naming

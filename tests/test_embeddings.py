@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embdistill.embeddings import (
     UNK_TOKEN,
@@ -192,6 +197,125 @@ class TestWord2vecText:
         native2 = tmp_path / "vecs2.emb"
         save_table(reloaded, native2)
         assert native.read_bytes() == native2.read_bytes()
+
+
+_TOKEN_CHARS = "abcxyzABZ019_-.éß語"
+
+
+@st.composite
+def word2vec_files(draw):
+    """A word2vec text file's bytes and the tokens and float values in it."""
+    dim = draw(st.integers(1, 6))
+    tokens = draw(st.lists(st.text(_TOKEN_CHARS, min_size=1, max_size=6),
+                           min_size=1, max_size=12, unique=True))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), UNK_TOKEN)
+    values = draw(st.lists(
+        st.lists(st.one_of(st.floats(-1e6, 1e6), st.integers(-999, 999).map(float)),
+                 min_size=dim, max_size=dim),
+        min_size=len(tokens), max_size=len(tokens)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{len(tokens)} {dim}"] + [
+        " ".join([token] + [repr(v) for v in row]) for token, row in zip(tokens, values)
+    ]
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text.encode("utf-8"), tokens, np.array(values).T
+
+
+def _vector_file(tmp_path, count, dim, unk_at=None):
+    """A file of ``count`` random vectors, the unknown token at ``unk_at``."""
+    rng = np.random.default_rng(13)
+    lines = [f"{count} {dim}"]
+    for i, row in enumerate(rng.normal(size=(count, dim))):
+        token = UNK_TOKEN if i == unk_at else f"w{i}"
+        lines.append(token + " " + " ".join(f"{v:.6f}" for v in row))
+    path = tmp_path / "vecs.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestWord2vecStreaming:
+    """The streaming loader: its values, its memory and its error order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(word2vec_files())
+    def test_float32_values_and_unk_mean_bit_for_bit(self, tmp_path_factory, case):
+        blob, tokens, values = case
+        path = tmp_path_factory.mktemp("w2v") / "vecs.txt"
+        path.write_bytes(blob)
+        table = load_word2vec_text(path)
+        expected = np.ascontiguousarray(values.astype(np.float32).astype(float))
+        if UNK_TOKEN not in tokens:
+            tokens = tokens + [UNK_TOKEN]
+            expected = np.hstack([expected, expected.mean(axis=1, keepdims=True)])
+        assert table.vocab.words == tokens
+        assert table.matrix.flags.c_contiguous
+        assert np.array_equal(table.matrix, expected)
+
+    @pytest.mark.parametrize("unk_at", [None, 1234])
+    def test_traced_peak_is_about_the_returned_table(self, tmp_path, unk_at):
+        path = _vector_file(tmp_path, 3000, 100, unk_at)
+        tracemalloc.start()
+        try:
+            table = load_word2vec_text(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 3,000 token strings, their set, list and vocabulary index
+        tokens = 3000 * 200
+        assert peak <= 1.5 * table.matrix.nbytes + tokens
+
+    def test_surplus_line_stops_at_the_count(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("1 2\na 1 2\nb oops\n")
+        with pytest.raises(ParseError, match="declares 1 vectors, file has more"):
+            load_word2vec_text(path)
+
+    def test_trailing_blank_line_is_a_surplus_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("1 2\na 1 2\n\n")
+        with pytest.raises(ParseError, match="declares 1 vectors, file has more"):
+            load_word2vec_text(path)
+
+    def test_blank_line_inside_the_data(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("3 2\na 1 2\n\nb 3 4\n")
+        with pytest.raises(ParseError, match="vecs.txt:3: expected token plus 2 values, got 0"):
+            load_word2vec_text(path)
+
+    @pytest.mark.parametrize("declared", [2, 4])
+    def test_bad_line_within_the_count_wins_over_a_wrong_count(self, tmp_path, declared):
+        # the file holds three vectors, the second one malformed
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"{declared} 2\na 1 2\nb 1 oops\nc 5 6\n")
+        with pytest.raises(ParseError, match=r"vecs.txt:3: non-numeric"):
+            load_word2vec_text(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    @pytest.mark.parametrize("unk", [False, True])
+    def test_non_finite_value_names_the_first_such_line(self, tmp_path, value, unk):
+        path = tmp_path / "vecs.txt"
+        first = UNK_TOKEN if unk else "a"
+        path.write_text(f"4 2\n{first} 1 2\nb 3 {value}\nc -1e39 nan\nd 5 6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"vecs.txt:3: non-finite vector value"):
+                load_word2vec_text(path)
+
+    def test_largest_float32_values_load_without_warnings(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 1\na 3.4e38\nb 3.4e38\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_word2vec_text(path)
+        assert np.isfinite(table.matrix).all()
+
+    @pytest.mark.parametrize("count", ["100000000000000", "1" + "0" * 30])
+    def test_header_too_large_to_hold(self, tmp_path, count):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"{count} 300\na {' '.join(['1'] * 300)}\n")
+        with pytest.raises(ParseError, match=f"vecs.txt:1: header declares {count} vectors"):
+            load_word2vec_text(path)
 
 
 class TestNativeTableFormat:
