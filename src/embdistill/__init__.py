@@ -5,7 +5,6 @@ direct small-embedding training and soft-target matching."""
 __version__ = "0.1.0"
 
 from .embeddings import (  # noqa: F401
-    DistilledTable,
     EmbeddingTable,
     EncoderLayer,
     Vocabulary,

@@ -338,10 +338,10 @@ def _outcome_payload(outcome: RegimeOutcome, protocol: TrainingProtocol,
         "toolkit_version": __version__,
         "temperature": outcome.regime.temperature,
         "model_config": asdict(model_config),
-        "protocol": protocol.to_dict(),
+        "protocol": asdict(protocol),
         "best_config": asdict(outcome.grid.best_config),
         "grid": grid_rows,
-        "aggregate": outcome.aggregate.to_dict(),
+        "aggregate": asdict(outcome.aggregate),
         "deployed_parameters": outcome.deployed_parameters,
     }
 
@@ -449,7 +449,7 @@ def cmd_teacher(args) -> int:
         n_classes=_option(args, "classes", int, 5),
     )
     save_model(model, os.path.join(out, "teacher.mdl"))
-    payload = result.to_dict()
+    payload = asdict(result)
     payload["toolkit_version"] = __version__
     payload["parameters"] = count_parameters(model)
     _dump_json(payload, os.path.join(out, "teacher_result.json"))

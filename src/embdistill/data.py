@@ -78,15 +78,10 @@ class SampleSet:
 
     @classmethod
     def of(cls, samples) -> "SampleSet":
-        """The set of a sequence of Samples or of one Sample; a SampleSet
-        comes back unchanged."""
+        """The set of a sequence of Samples; a SampleSet comes back
+        unchanged."""
         if isinstance(samples, SampleSet):
             return samples
-        if isinstance(samples, Sample):
-            if samples.tokens.size == 0:
-                raise DataError("empty sample: a sample needs at least one token")
-            return cls(samples.tokens, np.zeros(1, dtype=np.intp),
-                       np.array([samples.tokens.size]), np.array([samples.label]))
         n = len(samples)
         lengths = np.fromiter((s.tokens.size for s in samples), np.intp, n)
         if n and lengths.min() == 0:

@@ -14,6 +14,7 @@ file helpers every artifact and text input goes through live here too.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -80,10 +81,6 @@ class EmbeddingTable:
         return self.matrix.shape[0]
 
 
-class DistilledTable(EmbeddingTable):
-    """A small table whose columns were produced by folding an encoder."""
-
-
 @dataclass
 class EncoderLayer:
     """Trainable affine map plus tanh squashing big word vectors to small ones.
@@ -132,7 +129,7 @@ class EncoderLayer:
         return np.tanh(encoded, out=encoded).T
 
 
-def fold(enc: EncoderLayer, table: EmbeddingTable) -> DistilledTable:
+def fold(enc: EncoderLayer, table: EmbeddingTable) -> EmbeddingTable:
     """Precompute the encoder output for every word.
 
     The result replaces both the large table and the encoder at
@@ -142,7 +139,7 @@ def fold(enc: EncoderLayer, table: EmbeddingTable) -> DistilledTable:
         raise DimensionError(
             f"encoder expects {enc.n_embed}-dim vectors, table has dim {table.dim}"
         )
-    return DistilledTable(table.vocab, enc.encode_columns(table.matrix))
+    return EmbeddingTable(table.vocab, enc.encode_columns(table.matrix))
 
 
 def init_random_table(
@@ -330,12 +327,15 @@ class ArtifactReader:
     Creating the reader opens the file and checks its magic; leaving the
     ``with`` block checks that nothing follows the last block and closes
     the file.  Every problem, a ConfigError raised while the block builds
-    the artifact included, is a FormatError that names the file.
+    the artifact included, is a FormatError that names the file.  A block
+    longer than the bytes left in the file is never read, so a damaged
+    header cannot ask for more memory than the file holds.
     """
 
     def __init__(self, path, magic: bytes, kind: str):
         self.path = path
         self._fh = open(path, "rb")
+        self._left = os.fstat(self._fh.fileno()).st_size - len(magic)
         if self._fh.read(len(magic)) != magic:
             self._fh.close()
             raise self.error(f"not a {kind} (bad magic)")
@@ -347,7 +347,7 @@ class ArtifactReader:
         with self._fh:
             if isinstance(exc, ConfigError):
                 raise self.error(str(exc)) from None
-            if exc is None and self._fh.read(1):
+            if exc is None and self._left:
                 raise self.error("trailing data after the last block")
 
     def error(self, message: str) -> FormatError:
@@ -355,10 +355,10 @@ class ArtifactReader:
 
     def read(self, n: int, what: str) -> bytes:
         """Exactly the next ``n`` bytes."""
-        buf = self._fh.read(n)
-        if len(buf) != n:
+        if n > self._left:
             raise self.error(f"truncated while reading {what}")
-        return buf
+        self._left -= n
+        return self._fh.read(n)
 
     def unpack(self, fmt: str, what: str) -> tuple:
         """The next ``struct`` record of format ``fmt``."""
@@ -368,19 +368,21 @@ class ArtifactReader:
         """A vocabulary block of ``size`` distinct UTF-8 tokens, the
         unknown token among them."""
         read = self._fh.read  # runs |V| times: two reads and one decode a token
+        left = self._left
         words = []
         for i in range(size):
-            head = read(4)
-            if len(head) != 4:
+            if left < 4:
                 raise self.error(f"truncated while reading token {i}")
-            (length,) = _U32.unpack(head)
+            (length,) = _U32.unpack(read(4))
+            left -= 4 + length
+            if left < 0:
+                raise self.error(f"truncated while reading token {i}")
             token = read(length)
-            if len(token) != length:
-                raise self.error(f"truncated while reading token {i}")
             try:
                 words.append(token.decode("utf-8"))
             except UnicodeDecodeError:
                 raise self.error(f"token {i} is not UTF-8") from None
+        self._left = left
         vocab = Vocabulary.from_words(words)
         if len(vocab) != size:
             raise self.error("stored vocabulary lacks the unknown token")
@@ -388,5 +390,5 @@ class ArtifactReader:
 
     def floats(self, shape: tuple[int, ...], what: str, order: str = "C") -> np.ndarray:
         """An f32 block of ``shape``, stored in ``order``, as float64."""
-        block = np.frombuffer(self.read(4 * int(np.prod(shape)), what), dtype="<f4")
+        block = np.frombuffer(self.read(4 * math.prod(shape), what), dtype="<f4")
         return block.reshape(shape, order=order).astype(float)

@@ -7,9 +7,9 @@ the classifier.  A folded model carries a small table instead and no
 encoder; predictions are identical.
 
 Forward and backward passes work on a batch, a ``SampleSet`` or anything
-``SampleSet.of`` takes.  A single ``Sample`` is a batch of one whose
-per-sample outputs are 1-D; ``forward`` runs it without making its
-SampleSet, the path a deployed model's ``predict`` serves.
+``SampleSet.of`` takes.  ``forward`` also runs a single ``Sample``, with
+1-D outputs and without making its SampleSet: the path a deployed
+model's ``predict`` serves.  Backward needs a batch.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .data import Sample, SampleSet
 from .embeddings import (
     ArtifactReader,
-    DistilledTable,
     EmbeddingTable,
     EncoderLayer,
     atomic_write,
@@ -35,7 +34,6 @@ from .errors import (
     ConfigError,
     DataError,
     DimensionError,
-    FormatError,
     StaleCacheError,
 )
 from .ops import (
@@ -115,6 +113,13 @@ class ClassifierModel:
         self.out_b = out_b
         self.version = 0
 
+        if embedding.dim != config.n_embed and (
+            encoder is not None or embedding.dim != config.n_distill
+        ):
+            raise DimensionError(
+                f"table dim {embedding.dim} is neither n_embed {config.n_embed} "
+                f"nor, without an encoder, n_distill {config.n_distill}"
+            )
         in_dim = encoder.n_distill if encoder is not None else embedding.dim
         if encoder is not None and encoder.n_embed != embedding.dim:
             raise DimensionError(
@@ -143,14 +148,10 @@ class ClassifierModel:
         """Fresh model: glorot-uniform weights, zero biases.
 
         An encoder is created when ``config.n_distill`` is nonzero and
-        the table is still large; a distilled table needs none.
+        the table is still ``n_embed`` wide; a distilled table needs none.
         """
         encoder = None
-        if config.n_distill and not isinstance(embedding, DistilledTable):
-            if embedding.dim != config.n_embed:
-                raise DimensionError(
-                    f"table dim {embedding.dim} does not match n_embed {config.n_embed}"
-                )
+        if config.n_distill and embedding.dim == config.n_embed:
             encoder = EncoderLayer.initialize(config.n_distill, config.n_embed, rng)
         in_dim = config.n_distill if config.n_distill else config.n_embed
         return cls(
@@ -195,9 +196,9 @@ class ForwardCache:
 
     ``samples`` is what ``forward`` ran on: a lone Sample, or the
     SampleSet it made of its input.  Per-sample arrays have one row per
-    sample (1-D for a lone Sample).  ``rows`` and ``encoded`` are set
-    only when an encoder runs: the table rows and encodings of the
-    batch's distinct tokens, ids ascending.
+    sample (1-D for a lone Sample, which backward refuses).  ``rows`` and
+    ``encoded`` are set only when an encoder runs: the table rows and
+    encodings of the batch's distinct tokens, ids ascending.
     """
 
     samples: Sample | SampleSet
@@ -212,9 +213,12 @@ class ForwardCache:
 
     @property
     def batch(self) -> SampleSet:
-        """The samples as a SampleSet (a lone Sample's is made on demand,
-        only for a backward pass or an objective)."""
-        return SampleSet.of(self.samples)
+        """The batch that ran; a lone Sample's cache has none."""
+        if isinstance(self.samples, Sample):
+            raise DataError(
+                "backward needs a batch: pass SampleSet.of([sample]) to forward"
+            )
+        return self.samples
 
 
 @dataclass
@@ -346,7 +350,7 @@ def backward_from_logit_grad(
 ) -> Gradients:
     """Propagate a logit-space gradient down to every parameter.
 
-    ``dz`` has one row per sample (1-D for a single Sample).  The result
+    ``dz`` has one row per sample of the batch.  The result
     is the gradient of sum_i dz_i . logits_i, so a caller after the batch
     mean passes ``dz`` divided by the batch size.
     """
@@ -355,15 +359,12 @@ def backward_from_logit_grad(
             "backward called with a cache from a previous parameter state"
         )
     batch = cache.batch
-    # a single Sample's 1-D values run as a batch of one
-    out_w, d_hidden, out_b = affine_backward(
-        model.out_w, np.atleast_2d(cache.hidden), model.out_b, np.atleast_2d(dz)
-    )
+    out_w, d_hidden, out_b = affine_backward(model.out_w, cache.hidden, model.out_b, dz)
     if cache.mask is not None:
         d_hidden = d_hidden * cache.mask
-    d_pre_hidden = tanh_backward(np.atleast_2d(cache.hidden_act), d_hidden)
+    d_pre_hidden = tanh_backward(cache.hidden_act, d_hidden)
     hidden_w, d_pool, hidden_b = affine_backward(
-        model.hidden_w, np.atleast_2d(cache.pool), model.hidden_b, d_pre_hidden
+        model.hidden_w, cache.pool, model.hidden_b, d_pre_hidden
     )
 
     # mean pooling spreads a sample's gradient evenly over its tokens
@@ -388,9 +389,7 @@ def backward(
     ``target`` holds one distribution per sample, shaped like
     ``cache.logits``: one-hot or any distribution summing to 1.
     """
-    dz = softmax_ce_backward(
-        np.atleast_2d(cache.logits), np.atleast_2d(target), temperature
-    )
+    dz = softmax_ce_backward(cache.logits, target, temperature)
     return backward_from_logit_grad(model, cache, dz / len(cache.batch))
 
 
@@ -439,10 +438,11 @@ def save_model(model: ClassifierModel, path) -> None:
 
     Layout: magic "MDL1", u32 format version, config block (u32 dims:
     n_embed, n_distill, n_hidden, n_classes, |V|; u8 regime code, u8
-    has_encoder, u8 distilled_table; f32 dropout), the vocabulary block,
-    then one little-endian f32 block per parameter in
-    ``named_parameters`` order: table (column-major), encoder W and b
-    (when present), hidden W and b, output W and b (row-major).
+    has_encoder, u8 distilled_table (1 when the table is n_distill wide);
+    f32 dropout), the vocabulary block, then one little-endian f32 block
+    per parameter in ``named_parameters`` order: table (column-major),
+    encoder W and b (when present), hidden W and b, output W and b
+    (row-major).
     """
     cfg = model.config
     with atomic_write(path) as fh:
@@ -451,20 +451,15 @@ def save_model(model: ClassifierModel, path) -> None:
         fh.write(struct.pack(
             _MDL_CONFIG, cfg.n_embed, cfg.n_distill, cfg.n_hidden, cfg.n_classes,
             len(model.embedding.vocab), _REGIME_CODES[cfg.regime], model.encoder is not None,
-            isinstance(model.embedding, DistilledTable), cfg.dropout_rate,
+            model.embedding.dim != cfg.n_embed, cfg.dropout_rate,
         ))
         write_vocabulary(fh, model.embedding.vocab)
         for name, a in model.named_parameters():
             write_floats(fh, a, order="F" if name == "embedding" else "C")
 
 
-def load_model(path, expected_config: ModelConfig | None = None) -> ClassifierModel:
-    """Read a model written by ``save_model``.
-
-    When ``expected_config`` is given, any mismatch in dimensions,
-    regime, or dropout raises a FormatError instead of returning a
-    surprising model.
-    """
+def load_model(path) -> ClassifierModel:
+    """Read a model written by ``save_model``."""
     with ArtifactReader(path, _MDL_MAGIC, "native model file") as reader:
         (version,) = reader.unpack("<I", "format version")
         if version != _MDL_VERSION:
@@ -477,8 +472,9 @@ def load_model(path, expected_config: ModelConfig | None = None) -> ClassifierMo
                              float(np.float32(dropout)), REGIMES[regime_code])
         vocab = reader.vocabulary(vocab_size)
         table_dim = n_distill if distilled else n_embed
-        matrix = reader.floats((table_dim, vocab_size), "embedding table", order="F")
-        embedding = (DistilledTable if distilled else EmbeddingTable)(vocab, matrix)
+        embedding = EmbeddingTable(
+            vocab, reader.floats((table_dim, vocab_size), "embedding table", order="F")
+        )
         encoder = None
         if has_encoder:
             encoder = EncoderLayer(
@@ -486,25 +482,10 @@ def load_model(path, expected_config: ModelConfig | None = None) -> ClassifierMo
                 reader.floats((n_distill,), "encoder bias"),
             )
         in_dim = n_distill if (has_encoder or distilled) else n_embed
-        model = ClassifierModel(
+        return ClassifierModel(
             config, embedding, encoder,
             reader.floats((n_hidden, in_dim), "hidden weights"),
             reader.floats((n_hidden,), "hidden bias"),
             reader.floats((n_classes, n_hidden), "output weights"),
             reader.floats((n_classes,), "output bias"),
         )
-    if expected_config is not None:
-        mismatch = (
-            config.n_embed != expected_config.n_embed
-            or config.n_distill != expected_config.n_distill
-            or config.n_hidden != expected_config.n_hidden
-            or config.n_classes != expected_config.n_classes
-            or config.regime != expected_config.regime
-            # dropout crossed a float32 boundary on disk
-            or abs(config.dropout_rate - expected_config.dropout_rate) > 1e-6
-        )
-        if mismatch:
-            raise FormatError(
-                f"{path}: stored config {config} does not match expected {expected_config}"
-            )
-    return model

@@ -3,8 +3,9 @@
 Matrices are 2-D float arrays, vectors 1-D.  The affine, tanh, softmax,
 loss and dropout functions also take a batch: a (samples, units) matrix,
 one row per sample, treated row by row (the affine weight and bias
-gradients sum over the rows).  Everything is computed in float64 in
-memory; the binary file formats downcast to float32 at the I/O boundary.
+gradients sum over the rows); ``affine_backward`` takes batches only.
+Everything is computed in float64 in memory; the binary file formats
+downcast to float32 at the I/O boundary.
 Functions here are pure: randomness always comes in through an explicit
 numpy Generator.
 """
@@ -56,12 +57,16 @@ def affine_forward(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 def affine_backward(
     w: np.ndarray, x: np.ndarray, b: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``affine_forward`` w.r.t. W, x and b.
+    """Gradients of ``affine_forward`` w.r.t. W, x and b for a
+    (samples, cols) batch x.
 
-    For a vector x: (upstream outer x, W^T upstream, upstream).  For a
-    batch, ``upstream`` has one row per sample; the W and b gradients sum
-    over the rows and the x gradient has one row per sample.
+    ``upstream`` has one row per sample; the W and b gradients sum over
+    the rows and the x gradient has one row per sample.
     """
+    if x.ndim != 2:
+        raise DimensionError(
+            f"affine_backward: x must be a (samples, cols) batch, got shape {x.shape}"
+        )
     if upstream.shape != x.shape[:-1] + (w.shape[0],):
         raise DimensionError(
             f"affine_backward: upstream has shape {upstream.shape}, "
@@ -72,8 +77,6 @@ def affine_backward(
             f"affine_backward: W is {w.shape[0]}x{w.shape[1]}, "
             f"x has dim {x.shape[-1]}"
         )
-    if x.ndim == 1:
-        return np.outer(upstream, x), w.T @ upstream, upstream.copy()
     return upstream.T @ x, upstream @ w, upstream.sum(axis=0)
 
 

@@ -19,7 +19,7 @@ losses and the gradients of their mean.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,15 +103,6 @@ class TrialResult:
     @property
     def best_valid_accuracy(self) -> float:
         return self.valid_accuracies[self.best_epoch]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialResult":
-        d = dict(d)
-        d["config"] = TrainConfig(**d["config"])
-        return cls(**d)
 
 
 def standard_objective(model, samples, indices, rng, dropout_rate):
@@ -204,7 +195,7 @@ class ModelFactory:
             config = replace(config, dropout_rate=dropout_rate)
         if self.table is not None:
             matrix = np.array(self.table.matrix, order="F")
-            table = type(self.table)(self.table.vocab, matrix)
+            table = EmbeddingTable(self.table.vocab, matrix)
         else:
             table = init_random_table(self.vocab, config.n_embed, self.init_scale, rng)
         return ClassifierModel.initialize(config, table, rng)
@@ -302,28 +293,6 @@ class TrainingProtocol:
                     f"unknown decay scheme {scheme!r}, expected one of {DECAY_SCHEMES}"
                 )
 
-    def grid_configs(self) -> list[TrainConfig]:
-        """Grid points in iteration order: lr, then scheme, dropout ascending."""
-        configs = []
-        for lr in self.learning_rates:
-            for scheme in self.decay_schemes:
-                for rate in sorted(self.dropout_rates):
-                    configs.append(
-                        TrainConfig(
-                            learning_rate=lr,
-                            decay_scheme=scheme,
-                            batch_size=self.batch_size,
-                            max_epochs=self.max_epochs,
-                            dropout_rate=rate,
-                            seed=self.grid_seed,
-                            patience=self.patience,
-                        )
-                    )
-        return configs
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class GridEntry:
@@ -381,19 +350,21 @@ def grid_search(
     Ties break toward the smaller learning rate, then smaller dropout,
     then the protocol's scheme order.  Diverged points are recorded, not
     fatal; if nothing converges a DivergenceError lists every failure.
+    Grid points run one (lr, scheme) lane at a time, lr then scheme in
+    protocol order, dropout ascending within a lane.
     """
-    configs = protocol.grid_configs()
-    if not configs:
-        raise ConfigError("empty hyperparameter grid")
+    lanes = [
+        [
+            TrainConfig(learning_rate=lr, decay_scheme=scheme, batch_size=protocol.batch_size,
+                        max_epochs=protocol.max_epochs, dropout_rate=rate,
+                        seed=protocol.grid_seed, patience=protocol.patience)
+            for rate in sorted(protocol.dropout_rates)
+        ]
+        for lr in protocol.learning_rates
+        for scheme in protocol.decay_schemes
+    ]
     n_classes = factory.config.n_classes
-
-    groups: list[list[TrainConfig]] = []
-    for lr in protocol.learning_rates:
-        for scheme in protocol.decay_schemes:
-            groups.append(
-                [c for c in configs if c.learning_rate == lr and c.decay_scheme == scheme]
-            )
-    jobs_args = [(factory, splits, g, objective, log_dir, n_classes) for g in groups]
+    jobs_args = [(factory, splits, lane, objective, log_dir, n_classes) for lane in lanes]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -438,27 +409,6 @@ class AggregateResult:
     restart_test_accuracy: float
     seeds: list[int]
     trials: list[TrialResult] = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "restart_seed": self.restart_seed,
-            "restart_test_accuracy": self.restart_test_accuracy,
-            "seeds": list(self.seeds),
-            "trials": [t.to_dict() for t in self.trials],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AggregateResult":
-        return cls(
-            mean_accuracy=d["mean_accuracy"],
-            std_accuracy=d["std_accuracy"],
-            restart_seed=d["restart_seed"],
-            restart_test_accuracy=d["restart_test_accuracy"],
-            seeds=list(d["seeds"]),
-            trials=[TrialResult.from_dict(t) for t in d["trials"]],
-        )
 
 
 def multi_restart(

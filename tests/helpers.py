@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from embdistill.data import DatasetSplits, LabeledTree, Sample
+from embdistill.data import DatasetSplits, LabeledTree, Sample, SampleSet
 from embdistill.embeddings import EmbeddingTable, EncoderLayer, Vocabulary
 from embdistill.errors import DimensionError
 from embdistill.model import ClassifierModel, backward, forward
@@ -98,8 +98,11 @@ def check_model_gradients(
     tol: float = FD_TOL,
 ) -> float:
     """Compare every trainable scalar's analytic gradient with central
-    finite differences of the loss (the batch-mean loss when ``sample``
-    is a list of samples).  Returns the worst relative error."""
+    finite differences of the batch-mean loss.  ``sample`` is a batch
+    with one target row per sample, or a lone Sample with a 1-D target,
+    checked as a batch of one.  Returns the worst relative error."""
+    if isinstance(sample, Sample):
+        sample, target = SampleSet.of([sample]), target[None]
     _, cache = forward(model, sample, temperature)
     analytic = dense_gradients(model, backward(model, cache, target, temperature))
     worst = 0.0

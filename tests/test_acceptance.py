@@ -68,16 +68,18 @@ def test_criterion_1_gradient_suite():
     started = time.perf_counter()
     rng = np.random.default_rng(100)
 
-    # elementary operations, 20 random points each
+    # elementary operations, 20 random points each; the affine layer on
+    # (k, cols) batches, the shape training sends it
     from embdistill.ops import affine_backward, affine_forward, softmax_ce_backward, tanh_backward
 
-    for _ in range(20):
-        w, x, b = rng.normal(size=(4, 3)), rng.normal(size=3), rng.normal(size=4)
-        probe = rng.normal(size=4)
+    for i in range(20):
+        k = 1 + i % 3
+        w, x, b = rng.normal(size=(4, 3)), rng.normal(size=(k, 3)), rng.normal(size=4)
+        probe = rng.normal(size=(k, 4))
         gw, gx, gb = affine_backward(w, x, b, probe)
-        assert np.all(rel_error(gw, central_difference(lambda v: probe @ affine_forward(v, x, b), w.copy())) < FD_TOL)
-        assert np.all(rel_error(gx, central_difference(lambda v: probe @ affine_forward(w, v, b), x.copy())) < FD_TOL)
-        assert np.all(rel_error(gb, central_difference(lambda v: probe @ affine_forward(w, x, v), b.copy())) < FD_TOL)
+        assert np.all(rel_error(gw, central_difference(lambda v: np.sum(probe * affine_forward(v, x, b)), w.copy())) < FD_TOL)
+        assert np.all(rel_error(gx, central_difference(lambda v: np.sum(probe * affine_forward(w, v, b)), x.copy())) < FD_TOL)
+        assert np.all(rel_error(gb, central_difference(lambda v: np.sum(probe * affine_forward(w, x, v)), b.copy())) < FD_TOL)
 
         t = rng.normal(size=5)
         tp = rng.normal(size=5)
@@ -91,16 +93,21 @@ def test_criterion_1_gradient_suite():
             num = central_difference(lambda v: cross_entropy(softmax_t(v, temp), target), z.copy(), FD_STEP)
             assert np.all(rel_error(ana, num) < FD_TOL)
 
-    # full tiny classifier: with/without encoder, T in {1,2}, hard and soft targets
+    # full tiny classifier on a batch of one and a batch of three:
+    # with/without encoder, T in {1,2}, hard and soft targets
     for with_encoder in (False, True):
         model = tiny_model(
             rng, vocab_size=7, n_embed=5, n_distill=3 if with_encoder else 0,
             n_hidden=4, n_classes=4,
         )
-        sample = Sample(rng.integers(0, 7, size=4), 1)
-        for temp in (1.0, 2.0):
-            for target in (one_hot(2, 4), soft_target(rng, 4)):
-                check_model_gradients(model, sample, target, temp)
+        for size in (1, 3):
+            batch = [Sample(rng.integers(0, 7, size=int(n)), 1)
+                     for n in rng.integers(1, 6, size=size)]
+            for temp in (1.0, 2.0):
+                hard = one_hot(rng.integers(0, 4, size=size), 4)
+                soft = np.array([soft_target(rng, 4) for _ in batch])
+                for target in (hard, soft):
+                    check_model_gradients(model, batch, target, temp)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"

@@ -529,6 +529,16 @@ class TestErrorContract:
                        *FAST, "--out", tmp_path / "out") == 3
         assert capsys.readouterr().err == f"error: {vectors}:5: non-finite vector value\n"
 
+    def test_table_declaring_more_than_the_file_holds_exit_3(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        table = tmp_path / "huge.emb"
+        header = struct.pack("<III", 1, 2**32 - 1, 5)
+        table.write_bytes(b"EMB1" + header + b"<unk>" + bytes(8))
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embeddings", table,
+                       *FAST, "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err == f"error: {table}: truncated while reading matrix\n"
+
 
 class TestNonUtf8Inputs:
     """A text input with bytes that are not UTF-8 is a typed error naming

@@ -237,10 +237,6 @@ class TestSampleSet:
         assert full[np.int64(4)].label == samples[4].label
         assert SampleSet.of(full) is full
 
-    def test_one_sample_is_a_set_of_one(self):
-        one = SampleSet.of(Sample(np.array([4, 1, 4]), 3))
-        assert_same_set(one, SampleSet.of([Sample(np.array([4, 1, 4]), 3)]))
-
     def test_pickle_round_trip_is_equal(self):
         full = SampleSet.of(random_samples(np.random.default_rng(2), 30))
         for s in (full, full[np.array([4, 4, 9])]):
@@ -259,9 +255,8 @@ class TestSampleSet:
     def test_empty_sample_rejected_empty_set_allowed(self):
         bad = Sample(np.array([0]), 0)
         bad.tokens = np.array([], dtype=np.intp)  # bypass Sample's own check
-        for samples in (bad, [Sample(np.array([1]), 0), bad]):
-            with pytest.raises(DataError, match="empty sample"):
-                SampleSet.of(samples)
+        with pytest.raises(DataError, match="empty sample"):
+            SampleSet.of([Sample(np.array([1]), 0), bad])
         empty = SampleSet.of([])
         assert len(empty) == 0 and empty.tokens.dtype == np.intp
         assert len(SampleSet.of(random_samples(np.random.default_rng(4), 5))[2:2]) == 0

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ class TestSoftTargetSet:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="truncated"):
             load_soft_targets(path)
+
+    def test_blocks_longer_than_the_file_are_never_read(self, tmp_path):
+        # 2^32-1 rows, then 2^32-1 x 2^32-1, whose product a u64 cannot hold
+        path = tmp_path / "huge.sft"
+        for n_classes in (1, 2**32 - 1):
+            path.write_bytes(b"SFT1" + struct.pack("<IIf", 2**32 - 1, n_classes, 2.0) + bytes(8))
+            with pytest.raises(FormatError, match="truncated while reading target rows"):
+                load_soft_targets(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.sft"

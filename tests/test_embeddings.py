@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 import warnings
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from embdistill.embeddings import (
     UNK_TOKEN,
-    DistilledTable,
     EmbeddingTable,
     EncoderLayer,
     Vocabulary,
@@ -119,7 +119,7 @@ class TestFold:
         table = random_table(rng, vocab_size=30, dim=6)
         enc = EncoderLayer.initialize(3, 6, rng)
         folded = fold(enc, table)
-        assert isinstance(folded, DistilledTable)
+        assert folded.dim == 3 and folded.vocab is table.vocab
         for i in range(len(table.vocab)):
             assert np.all(np.abs(lookup(folded, i) - encode(enc, table, i)) < 1e-6)
 
@@ -342,6 +342,17 @@ class TestNativeTableFormat:
         save_table(table, path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
+            load_table(path)
+
+    def test_blocks_longer_than_the_file_are_never_read(self, tmp_path):
+        # 29 bytes that declare a 2^32-1 dim, then a 2^32-1 byte token
+        path = tmp_path / "huge.emb"
+        unk = struct.pack("<I", 5) + b"<unk>"
+        path.write_bytes(b"EMB1" + struct.pack("<II", 1, 2**32 - 1) + unk + bytes(8))
+        with pytest.raises(FormatError, match=f"{path}: truncated while reading matrix"):
+            load_table(path)
+        path.write_bytes(b"EMB1" + struct.pack("<III", 1, 2, 2**32 - 1) + bytes(13))
+        with pytest.raises(FormatError, match="truncated while reading token 0"):
             load_table(path)
 
     def test_unicode_tokens_roundtrip(self, tmp_path):

@@ -65,26 +65,31 @@ class TestAffine:
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(1)
-        w, x, b = rng.normal(size=(3, 2)), rng.normal(size=2), rng.normal(size=3)
-        gw, gx, gb = affine_backward(w, x, b, np.zeros(3))
+        w, x, b = rng.normal(size=(3, 2)), rng.normal(size=(1, 2)), rng.normal(size=3)
+        gw, gx, gb = affine_backward(w, x, b, np.zeros((1, 3)))
         assert not gw.any() and not gx.any() and not gb.any()
 
     def test_backward_scalar_chain_rule(self):
         gw, gx, gb = affine_backward(
-            np.array([[2.0]]), np.array([3.0]), np.array([0.5]), np.array([1.0])
+            np.array([[2.0]]), np.array([[3.0]]), np.array([0.5]), np.array([[1.0]])
         )
         assert gw == np.array([[3.0]])
-        assert gx == np.array([2.0])
+        assert gx == np.array([[2.0]])
         assert gb == np.array([1.0])
 
     def test_backward_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            affine_backward(np.zeros((3, 2)), np.zeros(2), np.zeros(3), np.zeros(4))
+            affine_backward(np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(3), np.zeros((1, 4)))
+
+    def test_backward_takes_batches_only(self):
+        # unchecked, a vector x and a square W make the W gradient an inner product
+        with pytest.raises(DimensionError, match="batch"):
+            affine_backward(np.eye(3), np.ones(3), np.zeros(3), np.ones(3))
 
     def test_backward_matches_finite_differences(self):
         # scalar function: fixed probe dotted with the affine output
         rng = np.random.default_rng(2)
-        for lead in ((), (3,)):  # a vector and a batch of 3
+        for lead in ((1,), (3,)):  # a batch of 1 and a batch of 3
             for _ in range(20):
                 w = rng.normal(size=(5, 4))
                 x = rng.normal(size=lead + (4,))
