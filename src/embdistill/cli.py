@@ -97,14 +97,16 @@ def _require(args, key: str):
 
 
 def _convert(value, kind, key: str):
-    """``kind(value)``; a value that does not convert is a ConfigError
-    naming the option."""
+    """``kind(value)``; a value that does not convert, or a float that is
+    not finite, is a ConfigError naming the option."""
+    flag = f"--{key.replace('_', '-')}"
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"--{key.replace('_', '-')}: cannot read {value!r} as {kind.__name__}"
-        ) from None
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{flag}: cannot read {value!r} as {kind.__name__}") from None
+    if kind is float and not np.isfinite(out):
+        raise ConfigError(f"{flag}: {out} is not a finite number")
+    return out
 
 
 def _option(args, key: str, kind, default=None):
@@ -216,10 +218,13 @@ def _prepared_split(data_dir, file_name: str, *models) -> SampleSet:
     and the vocabulary of every model that will read it."""
     vocab = _read_vocab_file(os.path.join(data_dir, "vocab.txt"))
     for model in models:
-        if len(vocab) != len(model.embedding.vocab):
+        words = model.embedding.vocab.words
+        if words != vocab.words:
+            first = next((i for i, (a, b) in enumerate(zip(words, vocab.words)) if a != b),
+                         min(len(words), len(vocab)))
             raise ConfigError(
-                f"model vocabulary ({len(model.embedding.vocab)}) does not match "
-                f"prepared data ({len(vocab)})"
+                f"model vocabulary ({len(words)} words) does not match prepared data "
+                f"({len(vocab)} words): they first differ at position {first}"
             )
     return _read_samples(os.path.join(data_dir, file_name), len(vocab))
 
@@ -353,21 +358,17 @@ def _run_and_save_regime(args, regime: Regime, **regime_kwargs) -> int:
         train_file = _SENTENCE_TRAIN
     splits = _load_prepared(data_dir, train_file)
     protocol = _protocol(args)
+    options = dict(
+        n_hidden=_option(args, "hidden", int, 50),
+        n_classes=_option(args, "classes", int, 5),
+        jobs=_option(args, "jobs", int, 1),
+        init_scale=_option(args, "init_scale", float, 0.1),
+    )
     out = _out_dir(args)
     log_dir = os.path.join(out, "logs")
     os.makedirs(log_dir, exist_ok=True)
 
-    outcome = run_regime(
-        regime,
-        splits,
-        protocol,
-        n_hidden=_option(args, "hidden", int, 50),
-        n_classes=_option(args, "classes", int, 5),
-        jobs=_option(args, "jobs", int, 1),
-        log_dir=log_dir,
-        init_scale=_option(args, "init_scale", float, 0.1),
-        **regime_kwargs,
-    )
+    outcome = run_regime(regime, splits, protocol, log_dir=log_dir, **options, **regime_kwargs)
     best_path = os.path.join(out, "best.mdl")
     save_model(outcome.best_model, best_path)
     if outcome.folded_model is not None:
@@ -442,12 +443,10 @@ def cmd_teacher(args) -> int:
     )
     if cfg.learning_rate == 0:
         print("warning: learning rate 0 leaves parameters unchanged")
+    n_hidden = _option(args, "hidden", int, 200)
+    n_classes = _option(args, "classes", int, 5)
     out = _out_dir(args)
-    model, result = train_teacher(
-        splits, table, cfg,
-        n_hidden=_option(args, "hidden", int, 200),
-        n_classes=_option(args, "classes", int, 5),
-    )
+    model, result = train_teacher(splits, table, cfg, n_hidden, n_classes)
     save_model(model, os.path.join(out, "teacher.mdl"))
     payload = asdict(result)
     payload["toolkit_version"] = __version__

@@ -60,7 +60,7 @@ class Regime:
     def __post_init__(self):
         if self.tag not in REGIME_TAGS:
             raise ConfigError(f"unknown regime {self.tag!r}, expected one of {REGIME_TAGS}")
-        if self.tag == MATCHING_SOFTMAX and self.temperature <= 1.0:
+        if self.tag == MATCHING_SOFTMAX and not self.temperature > 1.0:
             raise ConfigError(
                 "matching softmax needs a softening temperature > 1, "
                 f"got {self.temperature}"
@@ -75,7 +75,7 @@ class SoftTargetSet:
     targets: np.ndarray  # (n_samples, n_classes)
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.targets.ndim != 2:
             raise ConfigError("soft targets must be a (samples, classes) matrix")
@@ -115,7 +115,7 @@ def generate_soft_targets(
     The teacher stays frozen; targets are computed once, up front, a
     chunk of samples per forward pass.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     return SoftTargetSet(temperature, class_distributions(teacher, samples, temperature))
 
@@ -207,15 +207,9 @@ def fold_model(model: ClassifierModel) -> ClassifierModel:
     if model.encoder is None:
         raise ConfigError("model has no encoder to fold")
     folded_table = fold(model.encoder, model.embedding)
-    return ClassifierModel(
-        model.config,
-        folded_table,
-        None,
-        model.hidden_w.copy(),
-        model.hidden_b.copy(),
-        model.out_w.copy(),
-        model.out_b.copy(),
-    )
+    # the dense layers after the table and the encoder carry over
+    dense = {name: a.copy() for name, a in model.named_parameters()[3:]}
+    return ClassifierModel(model.config, folded_table, None, **dense)
 
 
 def run_regime(

@@ -146,7 +146,7 @@ def init_random_table(
     vocab: Vocabulary, dim: int, scale: float, rng: np.random.Generator
 ) -> EmbeddingTable:
     """Word-major table with i.i.d. uniform entries in [-scale, scale]."""
-    if scale <= 0:
+    if not scale > 0:
         raise ConfigError(f"init scale must be > 0, got {scale}")
     draw = rng.uniform(-scale, scale, size=(dim, len(vocab)))
     return EmbeddingTable(vocab, np.asfortranarray(draw))

@@ -87,6 +87,29 @@ class ModelConfig:
             raise ConfigError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
 
 
+def parameter_shapes(
+    config: ModelConfig, n_words: int, table_dim: int, has_encoder: bool
+) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter of a model, in ``named_parameters``
+    order, which is also the order of the MDL1 parameter blocks.
+
+    The table is (table_dim, n_words); an encoder maps its columns to
+    ``config.n_distill`` values, which the hidden layer then reads.
+    """
+    shapes = [("embedding", (table_dim, n_words))]
+    in_dim = table_dim
+    if has_encoder:
+        shapes += [("encoder_w", (config.n_distill, table_dim)),
+                   ("encoder_b", (config.n_distill,))]
+        in_dim = config.n_distill
+    return shapes + [
+        ("hidden_w", (config.n_hidden, in_dim)),
+        ("hidden_b", (config.n_hidden,)),
+        ("out_w", (config.n_classes, config.n_hidden)),
+        ("out_b", (config.n_classes,)),
+    ]
+
+
 class ClassifierModel:
     """Mean-pooling sentence classifier with optional embedding encoder.
 
@@ -120,26 +143,10 @@ class ClassifierModel:
                 f"table dim {embedding.dim} is neither n_embed {config.n_embed} "
                 f"nor, without an encoder, n_distill {config.n_distill}"
             )
-        in_dim = encoder.n_distill if encoder is not None else embedding.dim
-        if encoder is not None and encoder.n_embed != embedding.dim:
-            raise DimensionError(
-                f"encoder expects {encoder.n_embed}-dim columns, "
-                f"table has dim {embedding.dim}"
-            )
-        if hidden_w.shape != (config.n_hidden, in_dim):
-            raise DimensionError(
-                f"hidden weights {hidden_w.shape} do not match "
-                f"({config.n_hidden}, {in_dim})"
-            )
-        if hidden_b.shape != (config.n_hidden,):
-            raise DimensionError("hidden bias shape mismatch")
-        if out_w.shape != (config.n_classes, config.n_hidden):
-            raise DimensionError(
-                f"output weights {out_w.shape} do not match "
-                f"({config.n_classes}, {config.n_hidden})"
-            )
-        if out_b.shape != (config.n_classes,):
-            raise DimensionError("output bias shape mismatch")
+        layout = parameter_shapes(config, len(embedding.vocab), embedding.dim, encoder is not None)
+        for (name, param), (_, shape) in zip(self.named_parameters(), layout):
+            if param.shape != shape:
+                raise DimensionError(f"{name} has shape {param.shape}, expected {shape}")
 
     @classmethod
     def initialize(
@@ -150,35 +157,30 @@ class ClassifierModel:
         An encoder is created when ``config.n_distill`` is nonzero and
         the table is still ``n_embed`` wide; a distilled table needs none.
         """
+        has_encoder = bool(config.n_distill) and embedding.dim == config.n_embed
+        layout = parameter_shapes(config, len(embedding.vocab), embedding.dim, has_encoder)
+        arrays = {name: glorot(*shape, rng) if len(shape) == 2 else np.zeros(shape)
+                  for name, shape in layout[1:]}
+        return cls.from_arrays(config, embedding, **arrays)
+
+    @classmethod
+    def from_arrays(
+        cls, config: ModelConfig, embedding: EmbeddingTable, **arrays: np.ndarray
+    ) -> "ClassifierModel":
+        """The model on ``embedding`` whose other parameters are
+        ``arrays``, named as in ``named_parameters``."""
         encoder = None
-        if config.n_distill and embedding.dim == config.n_embed:
-            encoder = EncoderLayer.initialize(config.n_distill, config.n_embed, rng)
-        in_dim = config.n_distill if config.n_distill else config.n_embed
-        return cls(
-            config,
-            embedding,
-            encoder,
-            glorot(config.n_hidden, in_dim, rng),
-            np.zeros(config.n_hidden),
-            glorot(config.n_classes, config.n_hidden, rng),
-            np.zeros(config.n_classes),
-        )
+        if "encoder_w" in arrays:
+            encoder = EncoderLayer(arrays.pop("encoder_w"), arrays.pop("encoder_b"))
+        return cls(config, embedding, encoder, **arrays)
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """All trainable arrays, embedding matrix included."""
         params = [("embedding", self.embedding.matrix)]
         if self.encoder is not None:
-            params.append(("encoder_w", self.encoder.w_encode))
-            params.append(("encoder_b", self.encoder.b_encode))
-        params.extend(
-            [
-                ("hidden_w", self.hidden_w),
-                ("hidden_b", self.hidden_b),
-                ("out_w", self.out_w),
-                ("out_b", self.out_b),
-            ]
-        )
-        return params
+            params += [("encoder_w", self.encoder.w_encode), ("encoder_b", self.encoder.b_encode)]
+        return params + [(name, getattr(self, name))
+                         for name in ("hidden_w", "hidden_b", "out_w", "out_b")]
 
     def snapshot(self) -> list[np.ndarray]:
         # np.copy keeps each array's memory layout (the table is word-major)
@@ -440,9 +442,8 @@ def save_model(model: ClassifierModel, path) -> None:
     n_embed, n_distill, n_hidden, n_classes, |V|; u8 regime code, u8
     has_encoder, u8 distilled_table (1 when the table is n_distill wide);
     f32 dropout), the vocabulary block, then one little-endian f32 block
-    per parameter in ``named_parameters`` order: table (column-major),
-    encoder W and b (when present), hidden W and b, output W and b
-    (row-major).
+    per parameter in ``parameter_shapes`` order: the table column-major,
+    the others row-major.
     """
     cfg = model.config
     with atomic_write(path) as fh:
@@ -471,21 +472,9 @@ def load_model(path) -> ClassifierModel:
         config = ModelConfig(n_embed, n_hidden, n_classes, n_distill,
                              float(np.float32(dropout)), REGIMES[regime_code])
         vocab = reader.vocabulary(vocab_size)
-        table_dim = n_distill if distilled else n_embed
-        embedding = EmbeddingTable(
-            vocab, reader.floats((table_dim, vocab_size), "embedding table", order="F")
-        )
-        encoder = None
-        if has_encoder:
-            encoder = EncoderLayer(
-                reader.floats((n_distill, n_embed), "encoder weights"),
-                reader.floats((n_distill,), "encoder bias"),
-            )
-        in_dim = n_distill if (has_encoder or distilled) else n_embed
-        return ClassifierModel(
-            config, embedding, encoder,
-            reader.floats((n_hidden, in_dim), "hidden weights"),
-            reader.floats((n_hidden,), "hidden bias"),
-            reader.floats((n_classes, n_hidden), "output weights"),
-            reader.floats((n_classes,), "output bias"),
-        )
+        layout = parameter_shapes(config, vocab_size, n_distill if distilled else n_embed,
+                                  bool(has_encoder))
+        arrays = {name: reader.floats(shape, name, order="F" if name == "embedding" else "C")
+                  for name, shape in layout}
+        embedding = EmbeddingTable(vocab, arrays.pop("embedding"))
+        return ClassifierModel.from_arrays(config, embedding, **arrays)

@@ -107,7 +107,7 @@ def softmax_t(z: np.ndarray, temperature: float) -> np.ndarray:
     learning rates) cannot overflow.  A vector reduces to scalars, the
     same bits as its batch of one without the ``keepdims`` broadcasts.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ConfigError(f"softmax temperature must be > 0, got {temperature}")
     scaled = np.asarray(z, dtype=float) / temperature
     if scaled.ndim == 1:

@@ -70,7 +70,7 @@ class TrainConfig:
 
     def __post_init__(self):
         # 0 is tolerated so a dry run can leave parameters untouched.
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
@@ -117,13 +117,8 @@ def standard_objective(model, samples, indices, rng, dropout_rate):
 def apply_update(model: ClassifierModel, grads: Gradients, lr: float) -> None:
     """One SGD step.  The table moves only on the rows the batch touched,
     in one indexed update of its word-major view."""
-    model.hidden_w -= lr * grads.hidden_w
-    model.hidden_b -= lr * grads.hidden_b
-    model.out_w -= lr * grads.out_w
-    model.out_b -= lr * grads.out_b
-    if model.encoder is not None:
-        model.encoder.w_encode -= lr * grads.encoder_w
-        model.encoder.b_encode -= lr * grads.encoder_b
+    for name, param in model.named_parameters()[1:]:
+        param -= lr * getattr(grads, name)
     model.embedding.matrix.T[grads.embed_ids] -= lr * grads.embed_rows
     model.version += 1
 
@@ -143,7 +138,7 @@ def sgd_epoch(
     applies the *mean* gradient (so the learning-rate grid keeps its
     meaning across batch sizes).
     """
-    if lr < 0:
+    if not lr >= 0:
         raise ConfigError(f"learning rate must be >= 0, got {lr}")
     if batch_size < 1:
         raise ConfigError("batch size must be >= 1")
@@ -310,8 +305,8 @@ class GridSearchResult:
 
 def _run_grid_group(args) -> list[GridEntry]:
     """One (lr, scheme) lane: dropout ascending with underfit pruning."""
-    factory, splits, configs, objective, log_dir, n_classes = args
-    chance = 1.0 / n_classes
+    factory, splits, configs, objective, log_dir = args
+    chance = 1.0 / factory.config.n_classes
     entries: list[GridEntry] = []
     prune_from: float | None = None
     for cfg in configs:
@@ -363,8 +358,7 @@ def grid_search(
         for lr in protocol.learning_rates
         for scheme in protocol.decay_schemes
     ]
-    n_classes = factory.config.n_classes
-    jobs_args = [(factory, splits, lane, objective, log_dir, n_classes) for lane in lanes]
+    jobs_args = [(factory, splits, lane, objective, log_dir) for lane in lanes]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -375,23 +369,18 @@ def grid_search(
         per_group = [_run_grid_group(a) for a in jobs_args]
     entries = [e for group in per_group for e in group]
 
-    scheme_order = {s: i for i, s in enumerate(protocol.decay_schemes)}
-    best = None
-    for entry in entries:
-        if entry.result is None:
-            continue
-        key = (
-            -entry.result.best_valid_accuracy,
-            entry.config.learning_rate,
-            entry.config.dropout_rate,
-            scheme_order[entry.config.decay_scheme],
-        )
-        if best is None or key < best[0]:
-            best = (key, entry)
-    if best is None:
+    converged = [e for e in entries if e.result is not None]
+    if not converged:
         details = "; ".join(f"{e.config.learning_rate:g}: {e.skipped}" for e in entries)
         raise DivergenceError(f"every grid trial failed ({details})")
-    return GridSearchResult(entries, best[1].config, best[1].result)
+    scheme_order = {s: i for i, s in enumerate(protocol.decay_schemes)}
+    best = min(converged, key=lambda e: (
+        -e.result.best_valid_accuracy,
+        e.config.learning_rate,
+        e.config.dropout_rate,
+        scheme_order[e.config.decay_scheme],
+    ))
+    return GridSearchResult(entries, best.config, best.result)
 
 
 @dataclass

@@ -73,15 +73,7 @@ def model_loss(model: ClassifierModel, sample, target, temperature: float) -> fl
 
 def dense_gradients(model: ClassifierModel, grads) -> dict[str, np.ndarray]:
     """Expand a Gradients object to one dense array per parameter name."""
-    out = {
-        "hidden_w": grads.hidden_w,
-        "hidden_b": grads.hidden_b,
-        "out_w": grads.out_w,
-        "out_b": grads.out_b,
-    }
-    if model.encoder is not None:
-        out["encoder_w"] = grads.encoder_w
-        out["encoder_b"] = grads.encoder_b
+    out = {name: getattr(grads, name) for name, _ in model.named_parameters()[1:]}
     emb = np.zeros_like(model.embedding.matrix)
     for col, g in grads.embed_cols.items():
         emb[:, col] += g

@@ -172,6 +172,25 @@ class TestTrainAndEval:
         assert not out.exists()
 
 
+    def test_eval_on_data_with_other_word_order_exit_2(self, tmp_path, capsys):
+        # both corpora prepare the same words, in a different order
+        for seed in (0, 5):
+            corpus = tmp_path / f"corpus{seed}"
+            corpus.mkdir()
+            write_toy_corpus(corpus, seed=seed)
+            prepare(corpus, tmp_path / f"data{seed}")
+        words = [(tmp_path / f"data{seed}" / "vocab.txt").read_text().split() for seed in (0, 5)]
+        assert sorted(words[0]) == sorted(words[1]) and words[0] != words[1]
+        first = next(i for i, (a, b) in enumerate(zip(*words)) if a != b)
+        out = tmp_path / "direct"
+        assert run_cli("train", "--data", tmp_path / "data0", "--regime", "direct",
+                       "--embed-dim", "4", "--hidden", "5", *FAST, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--model", out / "best.mdl", "--data", tmp_path / "data5") == 2
+        err = capsys.readouterr().err
+        assert f"they first differ at position {first}" in err
+
+
 class TestDistillPipeline:
     def test_distill_fold_eval_equivalence(self, toy_corpus, tmp_path, capsys):
         data = prepare(toy_corpus, tmp_path / "data")
@@ -605,6 +624,17 @@ class TestUnparsableNumbers:
         assert run_cli("train", "--config", cfg_path) == 2
         assert "--lr: cannot read 'x' as float" in capsys.readouterr().err
 
+    def test_teacher_width_is_read_before_output(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        cfg_path = tmp_path / "teacher.json"
+        cfg_path.write_text(json.dumps({"hidden": "wide"}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("teacher", "--config", cfg_path, "--data", data,
+                       "--embeddings", toy_corpus / "large_vecs.txt", "--out", out) == 2
+        assert "--hidden: cannot read 'wide' as int" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_null_config_value_takes_the_default(self, toy_corpus, tmp_path):
         data = prepare(toy_corpus, tmp_path / "data")
         cfg = {"data": str(data), "embeddings": str(toy_corpus / "large_vecs.txt"),
@@ -614,6 +644,44 @@ class TestUnparsableNumbers:
         assert run_cli("teacher", "--config", cfg_path) == 0
         result = json.loads((tmp_path / "t" / "teacher_result.json").read_text())
         assert result["config"]["learning_rate"] == 0.3
+
+
+class TestNonFiniteNumbers:
+    """A numeric option that is NaN or infinite is a configuration error
+    (exit 2) naming the option, raised before any output is written."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_vectors(corpus / "large_vecs.txt", write_toy_corpus(corpus, n_train=30), dim=12)
+        return corpus
+
+    @pytest.mark.parametrize("flag, value, extra", [
+        ("--init-scale", "nan", []),
+        ("--lr", "nan", ["--epochs", "1"]),
+        ("--lr", "inf", ["--epochs", "1"]),
+    ])
+    def test_train_exit_2(self, corpus, tmp_path, capsys, flag, value, extra):
+        data = prepare(corpus, tmp_path / "data")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embed-dim", "4",
+                       flag, value, *extra, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {flag}: {value} is not a finite number\n"
+        assert not out.exists()
+
+    def test_soft_targets_infinite_temperature_exit_2(self, corpus, tmp_path, capsys):
+        data = prepare(corpus, tmp_path / "data")
+        assert run_cli("teacher", "--data", data, "--embeddings", corpus / "large_vecs.txt",
+                       "--epochs", "1", "--out", tmp_path / "teacher") == 0
+        out = tmp_path / "targets"
+        capsys.readouterr()
+        assert run_cli("soft-targets", "--data", data, "--teacher",
+                       tmp_path / "teacher" / "teacher.mdl", "--temperature", "inf",
+                       "--out", out) == 2
+        assert capsys.readouterr().err == "error: --temperature: inf is not a finite number\n"
+        assert not out.exists()
 
 
 class TestDeterminism:

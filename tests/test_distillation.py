@@ -33,7 +33,7 @@ from embdistill.model import (
 from embdistill.ops import cross_entropy, one_hot, softmax_ce_backward
 from embdistill.training import TrainConfig, TrainingProtocol, train_trial, ModelFactory
 
-from helpers import tiny_model, toy_separable_task
+from helpers import dense_gradients, tiny_model, toy_separable_task
 
 
 def params_hash(model) -> str:
@@ -218,19 +218,10 @@ class TestMatchingSoftmaxObjective:
             )
 
         step = 1e-3
+        analytic = dense_gradients(model, grads)
         for name, param in model.named_parameters():
-            dense = {
-                "hidden_w": grads.hidden_w, "hidden_b": grads.hidden_b,
-                "out_w": grads.out_w, "out_b": grads.out_b,
-            }
-            if name == "embedding":
-                ana = np.zeros_like(param)
-                for col, g in grads.embed_cols.items():
-                    ana[:, col] += g
-            else:
-                ana = dense[name]
             flat = param.ravel()
-            aflat = ana.ravel()
+            aflat = analytic[name].ravel()
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step

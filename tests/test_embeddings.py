@@ -386,6 +386,8 @@ class TestInitRandomTable:
         vocab = Vocabulary.from_words(["a"])
         with pytest.raises(ConfigError):
             init_random_table(vocab, 4, 0.0, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="init scale must be > 0"):
+            init_random_table(vocab, 4, float("nan"), np.random.default_rng(0))
 
 
 class TestAlignToVocab:

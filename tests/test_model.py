@@ -29,6 +29,7 @@ from embdistill.model import (
     evaluate_accuracy,
     forward,
     load_model,
+    parameter_shapes,
     predict,
     save_model,
 )
@@ -481,6 +482,52 @@ class TestSaveLoad:
             ClassifierModel(model.config, small, model.encoder, model.hidden_w,
                             model.hidden_b, model.out_w, model.out_b)
 
+    def test_encoder_width_must_fit_the_config(self):
+        # save_model would write this model, and load_model reject the file
+        rng = np.random.default_rng(23)
+        model = self._model(rng, n_embed=5, n_distill=3)
+        encoder = EncoderLayer.initialize(2, 5, rng)
+        with pytest.raises(DimensionError,
+                           match=r"encoder_w has shape \(2, 5\), expected \(3, 5\)"):
+            ClassifierModel(model.config, model.embedding, encoder, np.zeros((4, 2)),
+                            model.hidden_b, model.out_w, model.out_b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(1, 9),
+        n_embed=st.integers(2, 7),
+        n_hidden=st.integers(1, 5),
+        n_classes=st.integers(1, 5),
+        kind=st.sampled_from(["direct", "encoder", "folded"]),
+        data=st.data(),
+    )
+    def test_layout_roundtrip_and_truncation(self, tmp_path_factory, seed, vocab_size,
+                                              n_embed, n_hidden, n_classes, kind, data):
+        n_distill = 0 if kind == "direct" else data.draw(st.integers(1, n_embed - 1))
+        model = tiny_model(np.random.default_rng(seed), vocab_size, n_embed, n_distill,
+                           n_hidden, n_classes)
+        if kind == "folded":
+            model = fold_model(model)
+        params = model.named_parameters()
+        assert parameter_shapes(model.config, vocab_size, model.embedding.dim,
+                                model.encoder is not None) == [(n, a.shape) for n, a in params]
+
+        path = tmp_path_factory.mktemp("layout") / "m.mdl"
+        save_model(model, path)
+        for (name, a), (_, b) in zip(params, load_model(path).named_parameters()):
+            assert b.shape == a.shape and np.array_equal(b, a.astype(np.float32)), name
+
+        # the parameter blocks end the file, in layout order
+        blob = path.read_bytes()
+        start = len(blob) - 4 * sum(a.size for _, a in params)
+        for name, a in params:
+            cut = data.draw(st.integers(start, start + 4 * a.size - 1), label=name)
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError, match=f"truncated while reading {name}$"):
+                load_model(path)
+            start += 4 * a.size
+
     def test_truncated_file_is_rejected(self, tmp_path):
         rng = np.random.default_rng(18)
         model = self._model(rng)
@@ -497,7 +544,7 @@ class TestSaveLoad:
         config = struct.pack("<5I3Bf", 2**32 - 1, 0, 1, 1, 1, 0, 0, 0, 0.0)
         path.write_bytes(b"MDL1" + struct.pack("<I", 1) + config
                          + struct.pack("<I", 5) + b"<unk>" + bytes(8))
-        with pytest.raises(FormatError, match="truncated while reading embedding table"):
+        with pytest.raises(FormatError, match="truncated while reading embedding"):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):

@@ -59,6 +59,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-0.1)
 
+    def test_nan_lr_rejected(self):
+        with pytest.raises(ConfigError, match="learning rate must be >= 0"):
+            TrainConfig(learning_rate=float("nan"))
+
     def test_zero_lr_tolerated(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
