@@ -32,6 +32,7 @@ from .distillation import (
     DIRECT_SMALL,
     ENCODING_DISTILL,
     MATCHING_SOFTMAX,
+    REGIME_TAGS,
     Regime,
     RegimeOutcome,
     fold_model,
@@ -59,7 +60,7 @@ from .model import (
     predict,
     save_model,
 )
-from .report import build_report, format_text, format_tsv
+from .report import render_report
 from .training import TrainConfig, TrainingProtocol
 
 _SPLIT_FILES = {"train": "train.samples", "valid": "valid.samples", "test": "test.samples"}
@@ -97,11 +98,15 @@ def _require(args, key: str):
 
 
 def _convert(value, kind, key: str):
-    """``kind(value)``; a value that does not convert, or a float that is
-    not finite, is a ConfigError naming the option."""
+    """``kind(value)``, the one conversion for flag strings and config-file
+    values alike; a value that does not convert, a JSON boolean, a
+    fractional number for an int, or a float that is not finite, is a
+    ConfigError naming the option."""
     flag = f"--{key.replace('_', '-')}"
     try:
         out = kind(value)
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{flag}: cannot read {value!r} as {kind.__name__}") from None
     if kind is float and not np.isfinite(out):
@@ -113,6 +118,14 @@ def _option(args, key: str, kind, default=None):
     """``_merged`` converted by ``kind``; None stays None."""
     value = _merged(args, key, default)
     return None if value is None else _convert(value, kind, key)
+
+
+def _switch(args, key: str) -> bool:
+    """An on/off flag, or a JSON true/false from the config file."""
+    value = _merged(args, key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"--{key.replace('_', '-')}: expected true or false, got {value!r}")
+    return value
 
 
 def _list(args, key: str, kind, default: tuple) -> tuple:
@@ -233,7 +246,7 @@ def cmd_prepare(args) -> int:
     mode = _merged(args, "mode", ALL_PHRASES)
     if mode not in (ALL_PHRASES, SENTENCE_ONLY):
         raise ConfigError(f"unknown mode {mode!r}")
-    lowercase = bool(_merged(args, "lowercase", False))
+    lowercase = _switch(args, "lowercase")
 
     # Parse everything before writing anything, so a bad line can never
     # leave a partial cache behind.
@@ -354,7 +367,7 @@ def _outcome_payload(outcome: RegimeOutcome, protocol: TrainingProtocol,
 def _run_and_save_regime(args, regime: Regime, **regime_kwargs) -> int:
     data_dir = _require(args, "data")
     train_file = "train.samples"
-    if bool(_merged(args, "sentences_only", False)):
+    if _switch(args, "sentences_only"):
         train_file = _SENTENCE_TRAIN
     splits = _load_prepared(data_dir, train_file)
     protocol = _protocol(args)
@@ -463,7 +476,7 @@ def cmd_teacher(args) -> int:
 
 def cmd_soft_targets(args) -> int:
     data_dir = _require(args, "data")
-    train_file = _SENTENCE_TRAIN if bool(_merged(args, "sentences_only", False)) else "train.samples"
+    train_file = _SENTENCE_TRAIN if _switch(args, "sentences_only") else "train.samples"
     teacher = load_model(_require(args, "teacher"))
     samples = _prepared_split(data_dir, train_file, teacher)
     temperature = _option(args, "temperature", float, 2.0)
@@ -595,28 +608,28 @@ def cmd_compare(args) -> int:
     result_paths = _merged(args, "results")
     if not result_paths:
         raise ConfigError("compare needs at least one result file")
-    results = []
-    seen = set()
+    results = {}
     for path in result_paths:
         res = _read_json(path)
         tag = res.get("regime")
-        if tag in seen:
+        if tag not in REGIME_TAGS:
+            raise DataError(
+                f"{path}: unknown regime {tag!r}, expected one of {', '.join(REGIME_TAGS)}"
+            )
+        if tag in results:
             raise ConfigError(f"duplicate result for regime {tag!r}")
-        seen.add(tag)
-        results.append(res)
+        results[tag] = res
     bench = None
     bench_path = _merged(args, "bench")
     if bench_path is not None:
         bench = _read_json(bench_path)
     try:
-        report = build_report(results, bench)
-    except (KeyError, TypeError) as exc:
+        tsv, txt = render_report(results, bench)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(
             f"malformed result or bench file ({type(exc).__name__}: {exc})"
         ) from None
     out = _out_dir(args)
-    tsv = format_tsv(report)
-    txt = format_text(report)
     with atomic_write(os.path.join(out, "report.tsv"), "w") as fh:
         fh.write(tsv)
     with atomic_write(os.path.join(out, "report.txt"), "w") as fh:
@@ -630,8 +643,8 @@ def cmd_compare(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--jobs", type=int, help="max concurrent grid lanes")
+    p.add_argument("--seed", help="base seed")
+    p.add_argument("--jobs", help="max concurrent grid lanes")
     p.add_argument("--out", help="output directory (or file for fold/bench)")
 
 
@@ -639,16 +652,16 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", help="learning rate (train/distill: comma-separated grid)")
     p.add_argument("--decay", help="decay scheme (train/distill: comma-separated list)")
     p.add_argument("--dropout", help="dropout rate (train/distill: comma-separated grid)")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--hidden", type=int, help="hidden layer width")
-    p.add_argument("--classes", type=int, help="number of classes")
+    p.add_argument("--batch-size")
+    p.add_argument("--epochs")
+    p.add_argument("--patience")
+    p.add_argument("--hidden", help="hidden layer width")
+    p.add_argument("--classes", help="number of classes")
 
 
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     _add_training_flags(p)
-    p.add_argument("--grid-seed", type=int)
+    p.add_argument("--grid-seed")
     p.add_argument("--seeds", help="comma-separated restart seeds")
 
 
@@ -664,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train")
     p.add_argument("--valid")
     p.add_argument("--test")
-    p.add_argument("--mode", choices=(ALL_PHRASES, SENTENCE_ONLY))
+    p.add_argument("--mode", help="all_phrases (default) or sentence_only")
     p.add_argument("--lowercase", action="store_const", const=True)
     _add_common(p)
     p.set_defaults(func=cmd_prepare)
@@ -679,19 +692,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soft-targets", help="cache teacher distributions for training")
     p.add_argument("--data")
     p.add_argument("--teacher")
-    p.add_argument("--temperature", type=float)
+    p.add_argument("--temperature")
     p.add_argument("--sentences-only", action="store_const", const=True)
     _add_common(p)
     p.set_defaults(func=cmd_soft_targets)
 
     p = sub.add_parser("train", help="run a small-model regime (direct or matching-softmax)")
     p.add_argument("--data")
-    p.add_argument("--regime", choices=("direct", "matching-softmax"))
+    p.add_argument("--regime", help="direct (default) or matching-softmax")
     p.add_argument("--embeddings", help="small pretrained vectors")
-    p.add_argument("--embed-dim", type=int, help="random-vector width when no file")
-    p.add_argument("--init-scale", type=float)
+    p.add_argument("--embed-dim", help="random-vector width when no file")
+    p.add_argument("--init-scale")
     p.add_argument("--soft-targets", help="cache from the soft-targets command")
-    p.add_argument("--temperature", type=float)
+    p.add_argument("--temperature")
     p.add_argument("--sentences-only", action="store_const", const=True)
     _add_protocol_flags(p)
     _add_common(p)
@@ -700,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", help="run the encoding regime on large embeddings")
     p.add_argument("--data")
     p.add_argument("--embeddings", help="large pretrained vectors")
-    p.add_argument("--distill-dim", type=int)
-    p.add_argument("--init-scale", type=float)
+    p.add_argument("--distill-dim")
+    p.add_argument("--init-scale")
     _add_protocol_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_distill)
@@ -714,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="accuracy of a saved model on a split")
     p.add_argument("--model")
     p.add_argument("--data")
-    p.add_argument("--split", choices=tuple(_SPLIT_FILES))
+    p.add_argument("--split", help="train, valid or test (default)")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -722,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--large")
     p.add_argument("--small")
     p.add_argument("--data")
-    p.add_argument("--split", choices=tuple(_SPLIT_FILES))
-    p.add_argument("--reps", type=int)
+    p.add_argument("--split", help="train, valid or test (default)")
+    p.add_argument("--reps")
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 

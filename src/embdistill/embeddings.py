@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, ParseError
-from .ops import glorot
 
 UNK_TOKEN = "<unk>"
 
@@ -113,10 +112,6 @@ class EncoderLayer:
     @property
     def n_embed(self) -> int:
         return self.w_encode.shape[1]
-
-    @classmethod
-    def initialize(cls, n_distill: int, n_embed: int, rng: np.random.Generator):
-        return cls(glorot(n_distill, n_embed, rng), np.zeros(n_distill))
 
     def encode_columns(self, columns: np.ndarray) -> np.ndarray:
         """Apply the layer to every column of a (n_embed, k) block.

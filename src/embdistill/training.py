@@ -245,6 +245,15 @@ def train_trial(
 
     final_train_acc = evaluate_accuracy(model, splits.train)
     model.restore(best_state)
+    # sgd_epoch checks each batch's loss before its update, never the
+    # parameters after the last one; MDL1 stores float32
+    limit = np.finfo(np.float32).max
+    for name, param in model.named_parameters():
+        if not (param.min() >= -limit and param.max() <= limit):
+            raise DivergenceError(
+                f"parameter {name} is not finite or exceeds the float32 range "
+                f"(lr={cfg.learning_rate})"
+            )
     seconds = time.perf_counter() - started
     if log_path is not None:
         with atomic_write(log_path, "w") as fh:

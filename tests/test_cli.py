@@ -158,6 +158,22 @@ class TestTrainAndEval:
         assert code == 4
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["1e150", "1e300"])
+    def test_parameters_beyond_float32_exit_4(self, tmp_path, capsys, lr):
+        # one batch and one epoch: the loss is finite before the only update
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_toy_corpus(corpus, n_train=30)
+        data = prepare(corpus, tmp_path / "data", mode="sentence_only")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--data", data, "--regime", "direct", "--embed-dim", "4",
+                           "--lr", lr, "--epochs", "1", "--decay", "constant",
+                           "--dropout", "0.0", "--seeds", "0", "--out", out)
+        assert code == 4
+        assert "exceeds the float32 range" in capsys.readouterr().err
+        assert not (out / "best.mdl").exists()
+
     def test_missing_required_option_exit_2(self, capsys):
         assert run_cli("train", "--regime", "direct") == 2
         assert "error" in capsys.readouterr().err
@@ -373,6 +389,82 @@ class TestCompare:
                 "--distill-dim", "4", "--hidden", "5", *FAST, "--out", tmp_path / "enc")
         paths["enc"] = tmp_path / "enc" / "result.json"
         return data, paths
+
+    @staticmethod
+    def _fixed_result(path, tag, mean, std, restart, params, lrs):
+        """A result file with the fields ``compare`` reads, no training needed."""
+        path.write_text(json.dumps({
+            "regime": tag,
+            "aggregate": {"mean_accuracy": mean, "std_accuracy": std,
+                          "restart_test_accuracy": restart, "seeds": [0, 1, 2]},
+            "protocol": {"learning_rates": lrs, "decay_schemes": ["constant", "inverse"],
+                         "dropout_rates": [0.0, 0.1], "batch_size": 200, "max_epochs": 30},
+            "deployed_parameters": params,
+        }))
+        return path
+
+    def test_report_bytes(self, tmp_path):
+        enc = self._fixed_result(tmp_path / "enc.json", "encoding_distill",
+                                 0.4625, 0.0125, 0.475, 1234567, [1.0, 0.3])
+        direct = self._fixed_result(tmp_path / "direct.json", "direct_small",
+                                    0.40000001, 0.02, 0.3875, 9876, [0.1])
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({"relative_time": 0.2345678,
+                                     "relative_time_batched": 0.0654321,
+                                     "reps": 5, "corpus_size": 40}))
+        out = tmp_path / "report"
+        assert run_cli("compare", "--results", enc, direct, "--bench", bench,
+                       "--out", out) == 0
+        provenance = [
+            "toolkit: embdistill 0.1.0",
+            "direct_small: seeds=[0, 1, 2] lrs=[0.1] decay_schemes=['constant', 'inverse']"
+            " dropouts=[0.0, 0.1] batch=200 epochs=30",
+            "encoding_distill: seeds=[0, 1, 2] lrs=[1.0, 0.3]"
+            " decay_schemes=['constant', 'inverse'] dropouts=[0.0, 0.1] batch=200 epochs=30",
+            "bench: reps=5 corpus=40 samples",
+        ]
+        assert (out / "report.tsv").read_text() == "".join(f"# {p}\n" for p in provenance) + (
+            "method\tmean_accuracy\tstd_accuracy\trestart_accuracy\tdeployed_parameters\n"
+            "direct_small\t40.0\t2.0\t38.8\t9876\n"
+            "matching_softmax\tMISSING\tMISSING\tMISSING\tMISSING\n"
+            "encoding_distill\t46.2\t1.2\t47.5\t1234567\n"
+            "relative_time\t0.234568\n"
+            "relative_time_batched\t0.065432\n"
+        )
+        assert (out / "report.txt").read_text() == "".join(f"{p}\n" for p in provenance) + (
+            "\n"
+            "method                  mean acc (%)    restart acc (%)    deployed params\n"
+            "--------------------------------------------------------------------------\n"
+            "Direct small network    40.0 ± 2.0      38.8                         9,876\n"
+            "Matching softmax        (missing)\n"
+            "Encoding distillation   46.2 ± 1.2      47.5                     1,234,567\n"
+            "\n"
+            "relative inference time, per-sample predict (small / large): 0.23x\n"
+            "relative inference time, batched evaluation (small / large): 0.07x\n"
+        )
+
+    @pytest.mark.parametrize("tag", ["encoding", None])
+    def test_unknown_regime_tag_exit_3(self, tmp_path, capsys, tag):
+        good = self._fixed_result(tmp_path / "direct.json", "direct_small",
+                                  0.4, 0.02, 0.39, 9876, [0.1])
+        bad = self._fixed_result(tmp_path / "enc.json", tag, 0.46, 0.01, 0.47, 98, [0.3])
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert run_cli("compare", "--results", good, bad, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: unknown regime {tag!r}" in err
+        assert "direct_small, matching_softmax, encoding_distill" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mean, params", [("0.4", 9876), (0.4, "many")])
+    def test_malformed_value_exit_3(self, tmp_path, capsys, mean, params):
+        path = self._fixed_result(tmp_path / "direct.json", "direct_small",
+                                  mean, 0.02, 0.39, params, [0.1])
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert run_cli("compare", "--results", path, "--out", out) == 3
+        assert "malformed result or bench file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_report_has_three_rows(self, toy_corpus, tmp_path, capsys):
         data, paths = self._results(toy_corpus, tmp_path)
@@ -644,6 +736,63 @@ class TestUnparsableNumbers:
         assert run_cli("teacher", "--config", cfg_path) == 0
         result = json.loads((tmp_path / "t" / "teacher_result.json").read_text())
         assert result["config"]["learning_rate"] == 0.3
+
+
+class TestOneConversionPath:
+    """A flag string and a config-file value pass the same checks: an int
+    option takes no fraction or boolean, an on/off option takes only JSON
+    true/false, and a mistake is a configuration error (exit 2) naming
+    the option, raised before any output is written."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", 1.9, "--epochs: cannot read 1.9 as int"),
+        ("batch_size", 8.5, "--batch-size: cannot read 8.5 as int"),
+        ("hidden", 3.7, "--hidden: cannot read 3.7 as int"),
+        ("epochs", True, "--epochs: cannot read True as int"),
+        ("seeds", [0, 1.5], "--seeds: cannot read 1.5 as int"),
+        ("sentences_only", "false", "--sentences-only: expected true or false, got 'false'"),
+    ])
+    def test_train_config_value_exit_2(self, toy_corpus, tmp_path, capsys, key, value, message):
+        data = prepare(toy_corpus, tmp_path / "data")
+        out = tmp_path / "out"
+        cfg = {"data": str(data), "regime": "direct", "embed_dim": 4, "lr": "0.5",
+               "decay": "constant", "dropout": "0.0", "epochs": 1, "seeds": "0",
+               "out": str(out)}
+        cfg[key] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_prepare_lowercase_string_exit_2(self, toy_corpus, tmp_path, capsys):
+        cfg_path = tmp_path / "prepare.json"
+        cfg_path.write_text(json.dumps({"lowercase": "false"}))
+        out = tmp_path / "data"
+        capsys.readouterr()
+        assert run_cli("prepare", "--config", cfg_path, "--train", toy_corpus / "train.txt",
+                       "--valid", toy_corpus / "valid.txt", "--test", toy_corpus / "test.txt",
+                       "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: --lowercase: expected true or false, got 'false'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--regime", "direct", "--embed-dim", "4", "--epochs", "1.9"],
+         "--epochs: cannot read '1.9' as int"),
+        (["train", "--regime", "fast", "--embed-dim", "4"], "unknown regime 'fast' for train"),
+        (["prepare", "--mode", "phrases"], "unknown mode 'phrases'"),
+    ])
+    def test_flag_value_exit_2(self, toy_corpus, tmp_path, capsys, argv, message):
+        if argv[0] == "train":
+            argv = [*argv, "--data", prepare(toy_corpus, tmp_path / "data")]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestNonFiniteNumbers:

@@ -20,7 +20,7 @@ from embdistill.embeddings import (
     save_table,
 )
 from embdistill.errors import ConfigError, DimensionError, FormatError, ParseError
-from embdistill.ops import one_hot
+from embdistill.ops import glorot, one_hot
 
 from helpers import encode, lookup
 
@@ -117,7 +117,7 @@ class TestFold:
     def test_fold_matches_encode_for_every_word(self):
         rng = np.random.default_rng(6)
         table = random_table(rng, vocab_size=30, dim=6)
-        enc = EncoderLayer.initialize(3, 6, rng)
+        enc = EncoderLayer(glorot(3, 6, rng), np.zeros(3))
         folded = fold(enc, table)
         assert folded.dim == 3 and folded.vocab is table.vocab
         for i in range(len(table.vocab)):
@@ -127,7 +127,7 @@ class TestFold:
         rng = np.random.default_rng(7)
         vocab = Vocabulary.from_words([f"w{i}" for i in range(999)])
         table = EmbeddingTable(vocab, rng.normal(size=(300, 1000)))
-        enc = EncoderLayer.initialize(50, 300, rng)
+        enc = EncoderLayer(glorot(50, 300, rng), np.zeros(50))
         folded = fold(enc, table)
         assert folded.matrix.size == 50 * 1000
         assert table.matrix.size == 300 * 1000

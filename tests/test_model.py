@@ -34,7 +34,7 @@ from embdistill.model import (
     save_model,
 )
 from embdistill.distillation import fold_model
-from embdistill.ops import dropout_mask, one_hot, softmax_t
+from embdistill.ops import dropout_mask, glorot, one_hot, softmax_t
 
 from helpers import check_model_gradients, dense_gradients, soft_target, tiny_model
 
@@ -486,7 +486,7 @@ class TestSaveLoad:
         # save_model would write this model, and load_model reject the file
         rng = np.random.default_rng(23)
         model = self._model(rng, n_embed=5, n_distill=3)
-        encoder = EncoderLayer.initialize(2, 5, rng)
+        encoder = EncoderLayer(glorot(2, 5, rng), np.zeros(2))
         with pytest.raises(DimensionError,
                            match=r"encoder_w has shape \(2, 5\), expected \(3, 5\)"):
             ClassifierModel(model.config, model.embedding, encoder, np.zeros((4, 2)),

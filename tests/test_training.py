@@ -254,6 +254,15 @@ class TestTrainTrial:
         # no improvement after the first epoch, so it stops at patience
         assert len(result.valid_accuracies) <= 1 + 2 + 1
 
+    @pytest.mark.parametrize("lr", [1e40, 1e300])
+    def test_parameters_beyond_float32_diverge(self, lr):
+        factory, splits = tiny_factory()
+        # one update, whose batch loss is finite
+        cfg = TrainConfig(learning_rate=lr, max_epochs=1, batch_size=len(splits.train), seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="parameter embedding is not finite"):
+            train_trial(factory, splits, cfg)
+
     def test_trial_log_format(self, tmp_path):
         factory, splits = tiny_factory()
         cfg = TrainConfig(learning_rate=0.5, decay_scheme="halve_every_3",
