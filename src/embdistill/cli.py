@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands: prepare, teacher, soft-targets, train, distill, fold,
-eval, bench, compare.  A JSON config file (flat keys, same names as the
-long flags) can supply any value; explicit flags win.  Exit codes: 0
-success, 2 configuration problem, 3 data problem, 4 numeric divergence.
+eval, bench, compare.  Each command declares its options once, in one
+table; a JSON config file (flat keys, the long flag names with ``_``
+for ``-``) can supply any of them, and explicit flags win.  Exit codes:
+0 success, 2 configuration problem, 3 data problem, 4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +70,7 @@ _SENTENCE_TRAIN = "train_sentence.samples"
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# options
 
 def _load_config_file(path) -> dict:
     with open_text(path, ConfigError) as fh:
@@ -81,31 +83,42 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _merged(args, key: str, default=None):
-    """Flag value if given, else config-file value, else default (a JSON
-    null counts as not given)."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = getattr(args, "_config", {}).get(key)
-    return default if value is None else value
+class _Option(NamedTuple):
+    """One option of a command.  ``kind`` is int, float, str, bool (an
+    on/off flag) or a one-item list such as ``[float]``: a list of that
+    kind, given as a JSON list or as one comma-separated flag word (several
+    words with ``nargs="+"``).  An option without a default is read as
+    required (``opts[key]``) or optional (``opts.get(key)``)."""
+
+    kind: object
+    default: object = None
+    help: str | None = None
+    nargs: str | None = None
 
 
-def _require(args, key: str):
-    value = _merged(args, key)
-    if value is None:
+class _Options(dict):
+    """A command's converted option values; a required option nobody
+    gave is reported where the command reads it."""
+
+    def __missing__(self, key):
         raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-    return value
 
 
 def _convert(value, kind, key: str):
     """``kind(value)``, the one conversion for flag strings and config-file
-    values alike; a value that does not convert, a JSON boolean, a
-    fractional number for an int, or a float that is not finite, is a
-    ConfigError naming the option."""
+    values alike; a value that does not convert, a non-string for a string
+    option, a JSON boolean, a fractional number for an int, or a float
+    that is not finite, is a ConfigError naming the option.  An on/off
+    option takes only true or false."""
     flag = f"--{key.replace('_', '-')}"
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{flag}: expected true or false, got {value!r}")
+        return value
     try:
         out = kind(value)
-        if isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value):
+        if (isinstance(value, bool) or (kind is str and not isinstance(value, str))
+                or (kind is int and isinstance(value, float) and out != value)):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{flag}: cannot read {value!r} as {kind.__name__}") from None
@@ -114,31 +127,38 @@ def _convert(value, kind, key: str):
     return out
 
 
-def _option(args, key: str, kind, default=None):
-    """``_merged`` converted by ``kind``; None stays None."""
-    value = _merged(args, key, default)
-    return None if value is None else _convert(value, kind, key)
+def _read_options(args) -> _Options:
+    """Every option in the command's table: the flag if given, else
+    the config-file value (a JSON null counts as not given), else the
+    default, each converted by ``_convert``.  A config key the command
+    does not declare is a ConfigError naming the file and the key."""
+    table = args.table
+    config = _load_config_file(args.config) if args.config else {}
+    for key in config:
+        if key not in table:
+            raise ConfigError(f"{args.config}: {args.command} has no option {key!r}")
+    opts = _Options()
+    for key, opt in table.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key)
+        if value is None:
+            value = opt.default
+        if value is None:
+            continue
+        if isinstance(opt.kind, list):
+            if isinstance(value, str):
+                value = [value] if opt.nargs else [v for v in value.split(",") if v != ""]
+            elif not isinstance(value, (list, tuple)):
+                value = [value]
+            opts[key] = tuple(_convert(v, opt.kind[0], key) for v in value)
+        else:
+            opts[key] = _convert(value, opt.kind, key)
+    return opts
 
 
-def _switch(args, key: str) -> bool:
-    """An on/off flag, or a JSON true/false from the config file."""
-    value = _merged(args, key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"--{key.replace('_', '-')}: expected true or false, got {value!r}")
-    return value
-
-
-def _list(args, key: str, kind, default: tuple) -> tuple:
-    """A comma-separated flag value or a config-file list (else
-    ``default``), each item converted by ``kind``."""
-    value = _merged(args, key, default)
-    if not isinstance(value, (list, tuple)):
-        value = [v for v in str(value).split(",") if v != ""]
-    return tuple(_convert(v, kind, key) for v in value)
-
-
-def _out_dir(args) -> str:
-    out = _require(args, "out")
+def _out_dir(opts) -> str:
+    out = opts["out"]
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -216,8 +236,9 @@ def _read_vocab_file(path) -> Vocabulary:
     return Vocabulary.from_words(words)
 
 
-def _load_prepared(data_dir, train_file: str = "train.samples") -> DatasetSplits:
+def _load_prepared(data_dir, sentences_only: bool = False) -> DatasetSplits:
     vocab = _read_vocab_file(os.path.join(data_dir, "vocab.txt"))
+    train_file = _SENTENCE_TRAIN if sentences_only else "train.samples"
     return DatasetSplits(
         train=_read_samples(os.path.join(data_dir, train_file), len(vocab)),
         valid=_read_samples(os.path.join(data_dir, "valid.samples"), len(vocab)),
@@ -242,17 +263,17 @@ def _prepared_split(data_dir, file_name: str, *models) -> SampleSet:
     return _read_samples(os.path.join(data_dir, file_name), len(vocab))
 
 
-def cmd_prepare(args) -> int:
-    mode = _merged(args, "mode", ALL_PHRASES)
+def cmd_prepare(opts) -> int:
+    mode = opts["mode"]
     if mode not in (ALL_PHRASES, SENTENCE_ONLY):
         raise ConfigError(f"unknown mode {mode!r}")
-    lowercase = _switch(args, "lowercase")
+    lowercase = opts["lowercase"]
 
     # Parse everything before writing anything, so a bad line can never
     # leave a partial cache behind.
-    train_trees = read_tree_file(_require(args, "train"))
-    valid_trees = read_tree_file(_require(args, "valid"))
-    test_trees = read_tree_file(_require(args, "test"))
+    train_trees = read_tree_file(opts["train"])
+    valid_trees = read_tree_file(opts["valid"])
+    test_trees = read_tree_file(opts["test"])
     vocab = build_vocab(train_trees, lowercase)
 
     train_phrases = [
@@ -269,7 +290,7 @@ def cmd_prepare(args) -> int:
     ]
     train = train_phrases if mode == ALL_PHRASES else train_sentences
 
-    out = _out_dir(args)
+    out = _out_dir(opts)
     with atomic_write(os.path.join(out, "vocab.txt"), "w") as fh:
         fh.write("\n".join(vocab.words) + "\n")
     _write_samples(os.path.join(out, "train.samples"), train)
@@ -308,30 +329,28 @@ def _load_any_table(path) -> EmbeddingTable:
     return load_word2vec_text(path)
 
 
-def _task_table(args, vocab: Vocabulary, seed: int) -> EmbeddingTable | None:
-    path = _merged(args, "embeddings")
+def _task_table(opts, vocab: Vocabulary) -> EmbeddingTable | None:
+    path = opts.get("embeddings")
     if path is None:
         return None
     pretrained = _load_any_table(path)
-    rng = np.random.default_rng([seed, 2])
-    scale = _option(args, "init_scale", float, 0.1)
-    return align_to_vocab(pretrained, vocab, rng, scale)
+    rng = np.random.default_rng([opts["seed"], 2])
+    return align_to_vocab(pretrained, vocab, rng, opts["init_scale"])
 
 
 # ---------------------------------------------------------------------------
 # protocol assembly
 
-def _protocol(args) -> TrainingProtocol:
-    defaults = TrainingProtocol()
+def _protocol(opts) -> TrainingProtocol:
     protocol = TrainingProtocol(
-        learning_rates=_list(args, "lr", float, defaults.learning_rates),
-        decay_schemes=_list(args, "decay", str, defaults.decay_schemes),
-        dropout_rates=_list(args, "dropout", float, defaults.dropout_rates),
-        batch_size=_option(args, "batch_size", int, defaults.batch_size),
-        max_epochs=_option(args, "epochs", int, defaults.max_epochs),
-        patience=_option(args, "patience", int, defaults.patience),
-        grid_seed=_option(args, "grid_seed", int, defaults.grid_seed),
-        restart_seeds=_list(args, "seeds", int, defaults.restart_seeds),
+        learning_rates=opts["lr"],
+        decay_schemes=opts["decay"],
+        dropout_rates=opts["dropout"],
+        batch_size=opts["batch_size"],
+        max_epochs=opts["epochs"],
+        patience=opts["patience"],
+        grid_seed=opts["grid_seed"],
+        restart_seeds=opts["seeds"],
     )
     if any(lr == 0 for lr in protocol.learning_rates):
         print("warning: learning rate 0 leaves parameters unchanged")
@@ -364,24 +383,15 @@ def _outcome_payload(outcome: RegimeOutcome, protocol: TrainingProtocol,
     }
 
 
-def _run_and_save_regime(args, regime: Regime, **regime_kwargs) -> int:
-    data_dir = _require(args, "data")
-    train_file = "train.samples"
-    if _switch(args, "sentences_only"):
-        train_file = _SENTENCE_TRAIN
-    splits = _load_prepared(data_dir, train_file)
-    protocol = _protocol(args)
-    options = dict(
-        n_hidden=_option(args, "hidden", int, 50),
-        n_classes=_option(args, "classes", int, 5),
-        jobs=_option(args, "jobs", int, 1),
-        init_scale=_option(args, "init_scale", float, 0.1),
-    )
-    out = _out_dir(args)
+def _run_and_save_regime(opts, regime: Regime, splits: DatasetSplits, **regime_kwargs) -> int:
+    protocol = _protocol(opts)
+    out = _out_dir(opts)
     log_dir = os.path.join(out, "logs")
     os.makedirs(log_dir, exist_ok=True)
 
-    outcome = run_regime(regime, splits, protocol, log_dir=log_dir, **options, **regime_kwargs)
+    outcome = run_regime(regime, splits, protocol, log_dir=log_dir, n_hidden=opts["hidden"],
+                         n_classes=opts["classes"], jobs=opts["jobs"],
+                         init_scale=opts["init_scale"], **regime_kwargs)
     best_path = os.path.join(out, "best.mdl")
     save_model(outcome.best_model, best_path)
     if outcome.folded_model is not None:
@@ -403,63 +413,52 @@ def _run_and_save_regime(args, regime: Regime, **regime_kwargs) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    regime_name = _merged(args, "regime", "direct")
-    seed = _option(args, "seed", int, 0)
-    data_dir = _require(args, "data")
-    vocab = _read_vocab_file(os.path.join(data_dir, "vocab.txt"))
-    table = _task_table(args, vocab, seed)
+def cmd_train(opts) -> int:
+    regime_name = opts["regime"]
+    splits = _load_prepared(opts["data"], opts["sentences_only"])
+    table = _task_table(opts, splits.vocab)
 
     extra = {}
     if regime_name in ("direct", DIRECT_SMALL):
         regime, what = Regime(DIRECT_SMALL), "direct training"
     elif regime_name in ("matching-softmax", MATCHING_SOFTMAX):
-        temperature = _option(args, "temperature", float, 2.0)
-        regime, what = Regime(MATCHING_SOFTMAX, temperature), "matching softmax"
-        extra["soft_targets"] = load_soft_targets(_require(args, "soft_targets"))
+        regime, what = Regime(MATCHING_SOFTMAX, opts["temperature"]), "matching softmax"
+        extra["soft_targets"] = load_soft_targets(opts["soft_targets"])
     else:
         raise ConfigError(f"unknown regime {regime_name!r} for train")
-    embed_dim = _option(args, "embed_dim", int)
+    embed_dim = opts.get("embed_dim")
     if table is None and embed_dim is None:
         raise ConfigError(f"{what} needs --embeddings or --embed-dim")
-    return _run_and_save_regime(args, regime, table=table, embed_dim=embed_dim, **extra)
+    return _run_and_save_regime(opts, regime, splits, table=table, embed_dim=embed_dim, **extra)
 
 
-def cmd_distill(args) -> int:
-    seed = _option(args, "seed", int, 0)
-    data_dir = _require(args, "data")
-    vocab = _read_vocab_file(os.path.join(data_dir, "vocab.txt"))
-    table = _task_table(args, vocab, seed)
+def cmd_distill(opts) -> int:
+    splits = _load_prepared(opts["data"], opts["sentences_only"])
+    table = _task_table(opts, splits.vocab)
     if table is None:
         raise ConfigError("distill needs --embeddings with the large pretrained table")
-    regime = Regime(ENCODING_DISTILL)
-    return _run_and_save_regime(
-        args, regime, table=table, distill_dim=_option(args, "distill_dim", int, 50)
-    )
+    return _run_and_save_regime(opts, Regime(ENCODING_DISTILL), splits, table=table,
+                                distill_dim=opts["distill_dim"])
 
 
-def cmd_teacher(args) -> int:
-    seed = _option(args, "seed", int, 0)
-    data_dir = _require(args, "data")
-    splits = _load_prepared(data_dir)
-    table = _task_table(args, splits.vocab, seed)
+def cmd_teacher(opts) -> int:
+    splits = _load_prepared(opts["data"])
+    table = _task_table(opts, splits.vocab)
     if table is None:
         raise ConfigError("teacher training needs --embeddings")
     cfg = TrainConfig(
-        learning_rate=_option(args, "lr", float, 0.3),
-        decay_scheme=_option(args, "decay", str, "constant"),
-        batch_size=_option(args, "batch_size", int, 200),
-        max_epochs=_option(args, "epochs", int, 30),
-        dropout_rate=_option(args, "dropout", float, 0.0),
-        seed=seed,
-        patience=_option(args, "patience", int, 5),
+        learning_rate=opts["lr"],
+        decay_scheme=opts["decay"],
+        batch_size=opts["batch_size"],
+        max_epochs=opts["epochs"],
+        dropout_rate=opts["dropout"],
+        seed=opts["seed"],
+        patience=opts["patience"],
     )
     if cfg.learning_rate == 0:
         print("warning: learning rate 0 leaves parameters unchanged")
-    n_hidden = _option(args, "hidden", int, 200)
-    n_classes = _option(args, "classes", int, 5)
-    out = _out_dir(args)
-    model, result = train_teacher(splits, table, cfg, n_hidden, n_classes)
+    out = _out_dir(opts)
+    model, result = train_teacher(splits, table, cfg, opts["hidden"], opts["classes"])
     save_model(model, os.path.join(out, "teacher.mdl"))
     payload = asdict(result)
     payload["toolkit_version"] = __version__
@@ -474,34 +473,33 @@ def cmd_teacher(args) -> int:
     return 0
 
 
-def cmd_soft_targets(args) -> int:
-    data_dir = _require(args, "data")
-    train_file = _SENTENCE_TRAIN if _switch(args, "sentences_only") else "train.samples"
-    teacher = load_model(_require(args, "teacher"))
+def cmd_soft_targets(opts) -> int:
+    data_dir = opts["data"]
+    train_file = _SENTENCE_TRAIN if opts["sentences_only"] else "train.samples"
+    teacher = load_model(opts["teacher"])
     samples = _prepared_split(data_dir, train_file, teacher)
-    temperature = _option(args, "temperature", float, 2.0)
+    temperature = opts["temperature"]
     targets = generate_soft_targets(teacher, samples, temperature)
-    out = _out_dir(args)
+    out = _out_dir(opts)
     path = os.path.join(out, "soft_targets.sft")
     save_soft_targets(targets, path)
     print(f"wrote {len(targets)} soft targets at T={temperature:g} to {path}")
     return 0
 
 
-def cmd_fold(args) -> int:
-    model = load_model(_require(args, "model"))
+def cmd_fold(opts) -> int:
+    model = load_model(opts["model"])
     folded = fold_model(model)
-    out_path = _require(args, "out")
-    save_model(folded, out_path)
+    save_model(folded, opts["out"])
     print(f"folded parameters: {count_parameters(folded)} "
           f"(was {count_parameters(model)})")
     return 0
 
 
-def cmd_eval(args) -> int:
-    model = load_model(_require(args, "model"))
-    data_dir = _require(args, "data")
-    split = _merged(args, "split", "test")
+def cmd_eval(opts) -> int:
+    model = load_model(opts["model"])
+    data_dir = opts["data"]
+    split = opts["split"]
     if split not in _SPLIT_FILES:
         raise ConfigError(f"unknown split {split!r}, expected one of {sorted(_SPLIT_FILES)}")
     samples = _prepared_split(data_dir, _SPLIT_FILES[split], model)
@@ -551,16 +549,16 @@ def _fastest_seconds(sweep, large, small, samples, reps: int) -> tuple[float, fl
     return float(best[0].sum()), float(best[1].sum())
 
 
-def cmd_bench(args) -> int:
-    reps = _option(args, "reps", int, 5)
+def cmd_bench(opts) -> int:
+    reps = opts["reps"]
     if reps < 3:
         raise ConfigError(f"bench needs reps >= 3, got {reps}")
-    data_dir = _require(args, "data")
-    split = _merged(args, "split", "test")
+    data_dir = opts["data"]
+    split = opts["split"]
     if split not in _SPLIT_FILES:
         raise ConfigError(f"unknown split {split!r}")
-    large = load_model(_require(args, "large"))
-    small = load_model(_require(args, "small"))
+    large = load_model(opts["large"])
+    small = load_model(opts["small"])
     samples = _prepared_split(data_dir, _SPLIT_FILES[split], large, small)
     # per-sample predict is what a deployed model serves (its Samples
     # are built once, outside the timing); a batched evaluate_accuracy
@@ -582,7 +580,7 @@ def cmd_bench(args) -> int:
         "large_parameters": count_parameters(large),
         "small_parameters": count_parameters(small),
     }
-    out = _merged(args, "out")
+    out = opts.get("out")
     if out is not None:
         _dump_json(payload, out)
     print(f"large: {large_sec:.4f}s  small: {small_sec:.4f}s  "
@@ -604,8 +602,8 @@ def _read_json(path) -> dict:
     return payload
 
 
-def cmd_compare(args) -> int:
-    result_paths = _merged(args, "results")
+def cmd_compare(opts) -> int:
+    result_paths = opts.get("results")
     if not result_paths:
         raise ConfigError("compare needs at least one result file")
     results = {}
@@ -620,7 +618,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"duplicate result for regime {tag!r}")
         results[tag] = res
     bench = None
-    bench_path = _merged(args, "bench")
+    bench_path = opts.get("bench")
     if bench_path is not None:
         bench = _read_json(bench_path)
     try:
@@ -629,7 +627,7 @@ def cmd_compare(args) -> int:
         raise DataError(
             f"malformed result or bench file ({type(exc).__name__}: {exc})"
         ) from None
-    out = _out_dir(args)
+    out = _out_dir(opts)
     with atomic_write(os.path.join(out, "report.tsv"), "w") as fh:
         fh.write(tsv)
     with atomic_write(os.path.join(out, "report.txt"), "w") as fh:
@@ -641,28 +639,84 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", help="base seed")
-    p.add_argument("--jobs", help="max concurrent grid lanes")
-    p.add_argument("--out", help="output directory (or file for fold/bench)")
-
-
-def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", help="learning rate (train/distill: comma-separated grid)")
-    p.add_argument("--decay", help="decay scheme (train/distill: comma-separated list)")
-    p.add_argument("--dropout", help="dropout rate (train/distill: comma-separated grid)")
-    p.add_argument("--batch-size")
-    p.add_argument("--epochs")
-    p.add_argument("--patience")
-    p.add_argument("--hidden", help="hidden layer width")
-    p.add_argument("--classes", help="number of classes")
-
-
-def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
-    _add_training_flags(p)
-    p.add_argument("--grid-seed")
-    p.add_argument("--seeds", help="comma-separated restart seeds")
+def _commands() -> dict:
+    """Each command's function, help and option table.  Built with the
+    parser, not at import, so the ``cmd_*`` functions bound in this
+    module at that time are the ones that run."""
+    grid, trial = TrainingProtocol(), TrainConfig(learning_rate=0.3)
+    data = _Option(str, help="prepared data directory")
+    out = _Option(str, help="output directory")
+    seed = _Option(int, trial.seed, "base seed")
+    init_scale = _Option(float, 0.1, "scale of random vectors for words the table lacks")
+    temperature = _Option(float, 2.0, "softmax temperature")
+    sentences_only = _Option(bool, False, "train on whole sentences, not every phrase")
+    classes = _Option(int, 5, "number of classes")
+    split = _Option(str, "test", "train, valid or test (default)")
+    regime_options = {
+        "data": data,
+        "lr": _Option([float], grid.learning_rates, "comma-separated learning-rate grid"),
+        "decay": _Option([str], grid.decay_schemes, "comma-separated decay schemes"),
+        "dropout": _Option([float], grid.dropout_rates, "comma-separated dropout grid"),
+        "batch_size": _Option(int, grid.batch_size),
+        "epochs": _Option(int, grid.max_epochs),
+        "patience": _Option(int, grid.patience),
+        "grid_seed": _Option(int, grid.grid_seed),
+        "seeds": _Option([int], grid.restart_seeds, "comma-separated restart seeds"),
+        "hidden": _Option(int, 50, "hidden layer width"),
+        "classes": classes, "init_scale": init_scale, "sentences_only": sentences_only,
+        "seed": seed, "jobs": _Option(int, 1, "max concurrent grid lanes"), "out": out,
+    }
+    return {
+        "prepare": (cmd_prepare, "parse tree files and cache vocab/splits", {
+            "train": _Option(str), "valid": _Option(str), "test": _Option(str),
+            "mode": _Option(str, ALL_PHRASES, "all_phrases (default) or sentence_only"),
+            "lowercase": _Option(bool, False),
+            "out": out,
+        }),
+        "teacher": (cmd_teacher, "train the large-scale teacher model", {
+            "data": data, "embeddings": _Option(str), "init_scale": init_scale,
+            "lr": _Option(float, trial.learning_rate, "learning rate"),
+            "decay": _Option(str, trial.decay_scheme, "decay scheme"),
+            "dropout": _Option(float, trial.dropout_rate, "dropout rate"),
+            "batch_size": _Option(int, trial.batch_size), "epochs": _Option(int, trial.max_epochs),
+            "patience": _Option(int, trial.patience),
+            "hidden": _Option(int, 200, "hidden layer width"),
+            "classes": classes, "seed": seed, "out": out,
+        }),
+        "soft-targets": (cmd_soft_targets, "cache teacher distributions for training", {
+            "data": data, "teacher": _Option(str), "temperature": temperature,
+            "sentences_only": sentences_only, "out": out,
+        }),
+        "train": (cmd_train, "run a small-model regime (direct or matching-softmax)", {
+            "regime": _Option(str, "direct", "direct (default) or matching-softmax"),
+            "embeddings": _Option(str, help="small pretrained vectors"),
+            "embed_dim": _Option(int, help="random-vector width when no file"),
+            "soft_targets": _Option(str, help="cache from the soft-targets command"),
+            "temperature": temperature,
+            **regime_options,
+        }),
+        "distill": (cmd_distill, "run the encoding regime on large embeddings", {
+            "embeddings": _Option(str, help="large pretrained vectors"),
+            "distill_dim": _Option(int, 50),
+            **regime_options,
+        }),
+        "fold": (cmd_fold, "bake a model's encoder into a small table", {
+            "model": _Option(str), "out": _Option(str, help="output model file"),
+        }),
+        "eval": (cmd_eval, "accuracy of a saved model on a split", {
+            "model": _Option(str), "data": data, "split": split,
+        }),
+        "bench": (cmd_bench, "relative inference time of two saved models", {
+            "large": _Option(str), "small": _Option(str), "data": data, "split": split,
+            "reps": _Option(int, 5),
+            "out": _Option(str, help="output JSON file"),
+        }),
+        "compare": (cmd_compare, "emit the regime comparison report", {
+            "results": _Option([str], help="result.json files, one per regime", nargs="+"),
+            "bench": _Option(str, help="bench output for the relative-time row"),
+            "out": out,
+        }),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -672,89 +726,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"embdistill {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare", help="parse tree files and cache vocab/splits")
-    p.add_argument("--train")
-    p.add_argument("--valid")
-    p.add_argument("--test")
-    p.add_argument("--mode", help="all_phrases (default) or sentence_only")
-    p.add_argument("--lowercase", action="store_const", const=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("teacher", help="train the large-scale teacher model")
-    p.add_argument("--data")
-    p.add_argument("--embeddings")
-    _add_training_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_teacher)
-
-    p = sub.add_parser("soft-targets", help="cache teacher distributions for training")
-    p.add_argument("--data")
-    p.add_argument("--teacher")
-    p.add_argument("--temperature")
-    p.add_argument("--sentences-only", action="store_const", const=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_soft_targets)
-
-    p = sub.add_parser("train", help="run a small-model regime (direct or matching-softmax)")
-    p.add_argument("--data")
-    p.add_argument("--regime", help="direct (default) or matching-softmax")
-    p.add_argument("--embeddings", help="small pretrained vectors")
-    p.add_argument("--embed-dim", help="random-vector width when no file")
-    p.add_argument("--init-scale")
-    p.add_argument("--soft-targets", help="cache from the soft-targets command")
-    p.add_argument("--temperature")
-    p.add_argument("--sentences-only", action="store_const", const=True)
-    _add_protocol_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("distill", help="run the encoding regime on large embeddings")
-    p.add_argument("--data")
-    p.add_argument("--embeddings", help="large pretrained vectors")
-    p.add_argument("--distill-dim")
-    p.add_argument("--init-scale")
-    _add_protocol_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_distill)
-
-    p = sub.add_parser("fold", help="bake a model's encoder into a small table")
-    p.add_argument("--model")
-    _add_common(p)
-    p.set_defaults(func=cmd_fold)
-
-    p = sub.add_parser("eval", help="accuracy of a saved model on a split")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--split", help="train, valid or test (default)")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="relative inference time of two saved models")
-    p.add_argument("--large")
-    p.add_argument("--small")
-    p.add_argument("--data")
-    p.add_argument("--split", help="train, valid or test (default)")
-    p.add_argument("--reps")
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("compare", help="emit the regime comparison report")
-    p.add_argument("--results", nargs="+", help="result.json files, one per regime")
-    p.add_argument("--bench", help="bench output for the relative-time row")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
+    for name, (func, help_text, table) in _commands().items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file of this command's options; flags win")
+        for key, opt in table.items():
+            flag = f"--{key.replace('_', '-')}"
+            if opt.kind is bool:
+                p.add_argument(flag, action="store_const", const=True, help=opt.help)
+            else:
+                p.add_argument(flag, nargs=opt.nargs, help=opt.help)
+        p.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args._config = _load_config_file(args.config) if getattr(args, "config", None) else {}
-        return args.func(args)
+        return args.func(_read_options(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

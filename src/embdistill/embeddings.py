@@ -106,10 +106,6 @@ class EncoderLayer:
             )
 
     @property
-    def n_distill(self) -> int:
-        return self.w_encode.shape[0]
-
-    @property
     def n_embed(self) -> int:
         return self.w_encode.shape[1]
 

@@ -795,6 +795,119 @@ class TestOneConversionPath:
         assert not out.exists()
 
 
+def _valid_argv(command, data, enc, out):
+    """Arguments on which ``command`` succeeds, given the bench fixture's
+    prepared data and encoding run; outputs go to ``out``."""
+    corpus = data.parent / "corpus"
+    protocol = ["--lr", "0.5", "--decay", "constant", "--dropout", "0.0", "--epochs", "1",
+                "--batch-size", "8", "--seeds", "0", "--hidden", "4"]
+    return [command, *{
+        "prepare": ["--train", corpus / "train.txt", "--valid", corpus / "valid.txt",
+                    "--test", corpus / "test.txt", "--out", out],
+        "teacher": ["--data", data, "--embeddings", corpus / "large_vecs.txt",
+                    "--epochs", "1", "--out", out],
+        "soft-targets": ["--data", data, "--teacher", enc / "best.mdl", "--out", out],
+        "train": ["--data", data, "--embed-dim", "4", *protocol, "--out", out],
+        "distill": ["--data", data, "--embeddings", corpus / "large_vecs.txt",
+                    "--distill-dim", "4", *protocol, "--out", out],
+        "fold": ["--model", enc / "best.mdl", "--out", out],
+        "eval": ["--model", enc / "best.mdl", "--data", data],
+        "bench": ["--large", enc / "best.mdl", "--small", enc / "folded.mdl",
+                  "--data", data, "--reps", "3", "--out", out],
+        "compare": ["--results", enc / "result.json", "--out", out],
+    }[command]]
+
+
+class TestOptionTables:
+    """Each command takes the options it reads and no other: a flag it
+    does not read is a usage error, and a config key it does not declare,
+    or a config value of the wrong JSON type, is a configuration error
+    (exit 2) raised before any output is written."""
+
+    @pytest.mark.parametrize("command", ["prepare", "teacher", "soft-targets", "train",
+                                         "distill", "fold", "eval", "bench", "compare"])
+    def test_undeclared_config_key_exit_2(self, bench_setup, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"epoch": 1}))
+        capsys.readouterr()
+        assert run_cli(*_valid_argv(command, *bench_setup, out), "--config", cfg_path) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: {command} has no option 'epoch'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("eval", {"split": ["test"]}, "--split: cannot read ['test'] as str"),
+        ("bench", {"split": ["test"]}, "--split: cannot read ['test'] as str"),
+        ("eval", {"data": 5}, "--data: cannot read 5 as str"),
+    ])
+    def test_string_option_given_another_json_type_exit_2(self, bench_setup, tmp_path, capsys,
+                                                          command, cfg, message):
+        argv = _valid_argv(command, *bench_setup, tmp_path / "b.json")
+        if "data" in cfg:
+            i = argv.index("--data")
+            del argv[i:i + 2]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run_cli(*argv, "--config", cfg_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [("eval", ["--jobs", "2"]),
+                                               ("prepare", ["--seed", "1"])])
+    def test_flag_the_command_does_not_read_exit_2(self, bench_setup, tmp_path, capsys,
+                                                   command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*_valid_argv(command, *bench_setup, out), *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_reads_one_result_path_from_config(self, bench_setup, tmp_path):
+        _, enc = bench_setup
+        cfg_path = tmp_path / "compare.json"
+        cfg_path.write_text(json.dumps({"results": str(enc / "result.json")}))
+        out = tmp_path / "report"
+        assert run_cli("compare", "--config", cfg_path, "--out", out) == 0
+        rows = (out / "report.tsv").read_text()
+        assert rows.count("MISSING") == 8 and "\nencoding_distill\t" in rows
+
+    @pytest.mark.parametrize("command, flag, key, value", [
+        ("distill", ["--sentences-only"], "sentences_only", True),
+        ("teacher", ["--init-scale", "0.2"], "init_scale", 0.2),
+    ])
+    def test_new_flag_matches_config_key(self, tmp_path, command, flag, key, value):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        words = write_toy_corpus(corpus, n_train=30)
+        # a few words without vectors, so the init scale draws their rows
+        write_vectors(corpus / "large_vecs.txt", words[:-3], dim=12)
+        data = prepare(corpus, tmp_path / "data")
+        argv = [command, "--data", data, "--embeddings", corpus / "large_vecs.txt",
+                "--epochs", "1", "--batch-size", "8"]
+        if command == "distill":
+            argv += ["--distill-dim", "4", "--hidden", "4", "--lr", "0.5", "--decay",
+                     "constant", "--dropout", "0.0", "--seeds", "0"]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        runs = {"flag": flag, "config": ["--config", cfg_path], "default": []}
+        for name, extra in runs.items():
+            assert run_cli(*argv, *extra, "--out", tmp_path / name) == 0
+        # the models byte for byte, result files but for their timing
+        files = [p.relative_to(tmp_path / "flag") for p in (tmp_path / "flag").glob("*.*")
+                 if p.suffix in (".mdl", ".json")]
+        assert len(files) >= 2
+        changed = False
+        for rel in files:
+            a, b, c = ((tmp_path / name / rel).read_bytes() for name in runs)
+            if rel.suffix == ".json":
+                a, b, c = (scrub_seconds(json.loads(x)) for x in (a, b, c))
+            assert a == b, rel
+            changed |= a != c
+        assert changed
+
+
 class TestNonFiniteNumbers:
     """A numeric option that is NaN or infinite is a configuration error
     (exit 2) naming the option, raised before any output is written."""
