@@ -31,6 +31,7 @@ from .data import (
     read_tree_file,
 )
 from .distillation import (
+    DEFAULT_TEMPERATURE,
     DIRECT_SMALL,
     ENCODING_DISTILL,
     MATCHING_SOFTMAX,
@@ -415,21 +416,26 @@ def _run_and_save_regime(opts, regime: Regime, splits: DatasetSplits, **regime_k
 
 def cmd_train(opts) -> int:
     regime_name = opts["regime"]
-    splits = _load_prepared(opts["data"], opts["sentences_only"])
-    table = _task_table(opts, splits.vocab)
-
-    extra = {}
     if regime_name in ("direct", DIRECT_SMALL):
         regime, what = Regime(DIRECT_SMALL), "direct training"
+        for key in ("soft_targets", "temperature"):
+            if key in opts:
+                raise ConfigError(f"--{key.replace('_', '-')}: {what} reads no soft targets")
     elif regime_name in ("matching-softmax", MATCHING_SOFTMAX):
-        regime, what = Regime(MATCHING_SOFTMAX, opts["temperature"]), "matching softmax"
-        extra["soft_targets"] = load_soft_targets(opts["soft_targets"])
+        regime = Regime(MATCHING_SOFTMAX, opts.get("temperature", DEFAULT_TEMPERATURE))
+        what = "matching softmax"
     else:
         raise ConfigError(f"unknown regime {regime_name!r} for train")
     embed_dim = opts.get("embed_dim")
+    if embed_dim is not None and "embeddings" in opts:
+        raise ConfigError("--embed-dim: the --embeddings file sets the vector width")
+    splits = _load_prepared(opts["data"], opts["sentences_only"])
+    table = _task_table(opts, splits.vocab)
+    soft_targets = None if regime.tag == DIRECT_SMALL else load_soft_targets(opts["soft_targets"])
     if table is None and embed_dim is None:
         raise ConfigError(f"{what} needs --embeddings or --embed-dim")
-    return _run_and_save_regime(opts, regime, splits, table=table, embed_dim=embed_dim, **extra)
+    return _run_and_save_regime(opts, regime, splits, table=table, embed_dim=embed_dim,
+                                soft_targets=soft_targets)
 
 
 def cmd_distill(opts) -> int:
@@ -648,7 +654,7 @@ def _commands() -> dict:
     out = _Option(str, help="output directory")
     seed = _Option(int, trial.seed, "base seed")
     init_scale = _Option(float, 0.1, "scale of random vectors for words the table lacks")
-    temperature = _Option(float, 2.0, "softmax temperature")
+    temperature = _Option(float, DEFAULT_TEMPERATURE, "softmax temperature")
     sentences_only = _Option(bool, False, "train on whole sentences, not every phrase")
     classes = _Option(int, 5, "number of classes")
     split = _Option(str, "test", "train, valid or test (default)")
@@ -692,7 +698,7 @@ def _commands() -> dict:
             "embeddings": _Option(str, help="small pretrained vectors"),
             "embed_dim": _Option(int, help="random-vector width when no file"),
             "soft_targets": _Option(str, help="cache from the soft-targets command"),
-            "temperature": temperature,
+            "temperature": _Option(float, help="matching-softmax temperature (default 2)"),
             **regime_options,
         }),
         "distill": (cmd_distill, "run the encoding regime on large embeddings", {

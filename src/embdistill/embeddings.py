@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +28,7 @@ UNK_TOKEN = "<unk>"
 
 _EMB_MAGIC = b"EMB1"
 _U32 = struct.Struct("<I")  # a token's byte length
+_BLOCK_CHARS = 1 << 18  # the text of one block of word2vec lines, about 256 KB
 
 
 @dataclass
@@ -156,14 +157,14 @@ def align_to_vocab(
     UNK column is the pretrained UNK (the mean vector).  The result is
     word-major, like every table that trains.
     """
+    columns = np.array([pretrained.vocab.index.get(w, -1) for w in vocab.words])
+    columns[vocab.unk_index] = pretrained.vocab.unk_index
+    found = columns >= 0
     matrix = np.empty((pretrained.dim, len(vocab)), order="F")
-    for i, word in enumerate(vocab.words):
-        if i == vocab.unk_index:
-            matrix[:, i] = pretrained.matrix[:, pretrained.vocab.unk_index]
-        elif word in pretrained.vocab.index:
-            matrix[:, i] = pretrained.matrix[:, pretrained.vocab.index[word]]
-        else:
-            matrix[:, i] = rng.uniform(-scale, scale, size=pretrained.dim)
+    matrix[:, found] = pretrained.matrix[:, columns[found]]
+    # one draw in vocabulary order: the values of one draw per missing word
+    draw = rng.uniform(-scale, scale, size=(len(vocab) - found.sum(), pretrained.dim))
+    matrix[:, ~found] = draw.T
     return EmbeddingTable(vocab, matrix)
 
 
@@ -172,8 +173,8 @@ def load_word2vec_text(path) -> EmbeddingTable:
 
     Vector values are parsed as float32 (the format's native precision).
     The unknown token gets the mean of all loaded vectors unless the file
-    itself provides one.  The file is read a line at a time straight into
-    the returned (dim, |V|) float64 matrix, so memory stays about the
+    itself provides one.  The file is read in blocks of whole lines straight
+    into the returned (dim, |V|) float64 matrix, so memory stays about the
     size of that matrix; a value that is not finite is a ParseError.
     """
     # a value past float32's range parses to inf, and inf and -inf average
@@ -202,24 +203,41 @@ def load_word2vec_text(path) -> EmbeddingTable:
 
         words: list[str] = []
         seen: set[str] = set()
-        for lineno, line in enumerate(fh, start=2):
-            if len(words) == count:
-                raise ParseError(f"{path}: header declares {count} vectors, file has more")
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise ParseError(
-                    f"{path}:{lineno}: expected token plus {dim} values, "
-                    f"got {len(parts)} fields"
-                )
-            token = parts[0]
-            if token in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate word {token!r}")
-            seen.add(token)
-            try:
-                matrix[:, len(words)] = np.array(parts[1:], dtype=np.float32)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
-            words.append(token)
+        while lines := fh.readlines(_BLOCK_CHARS):
+            n, k = len(words), len(lines)
+            pairs = [line.split(None, 1) for line in lines]
+            tokens = [pair[0] for pair in pairs if pair]
+            # one C-reader call a block; it rounds to float32 as the per-line parse does
+            block = None
+            if (n + k <= count and all(len(pair) == 2 for pair in pairs)
+                    and len(set(tokens)) == k and seen.isdisjoint(tokens)):
+                with suppress(ValueError):
+                    block = np.loadtxt([pair[1] for pair in pairs], dtype=np.float32,
+                                       comments=None, ndmin=2)
+            if block is not None and block.shape == (k, dim):
+                matrix[:, n:n + k] = block.T
+                words += tokens
+                seen.update(tokens)
+                continue
+            # else the per-line parse: it names a bad line and takes what float() takes
+            for lineno, line in enumerate(lines, start=n + 2):
+                if len(words) == count:
+                    raise ParseError(f"{path}: header declares {count} vectors, file has more")
+                parts = line.split()
+                if len(parts) != dim + 1:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected token plus {dim} values, "
+                        f"got {len(parts)} fields"
+                    )
+                token = parts[0]
+                if token in seen:
+                    raise ParseError(f"{path}:{lineno}: duplicate word {token!r}")
+                seen.add(token)
+                try:
+                    matrix[:, len(words)] = np.array(parts[1:], dtype=np.float32)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
+                words.append(token)
         if len(words) != count:
             raise ParseError(f"{path}: header declares {count} vectors, file has {len(words)}")
 

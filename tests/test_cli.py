@@ -908,6 +908,71 @@ class TestOptionTables:
         assert changed
 
 
+class TestTrainReadsEveryOptionGiven:
+    """An option ``train`` would not read on its chosen path, given by flag
+    or by config file, is a configuration error (exit 2) naming it, raised
+    before any output is written."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_vectors(corpus / "small_vecs.txt", write_toy_corpus(corpus, n_train=30), dim=4)
+        return corpus
+
+    @pytest.mark.parametrize("flags, cfg, message", [
+        (["--soft-targets", "/nonexistent.sft"], {},
+         "--soft-targets: direct training reads no soft targets"),
+        ([], {"soft_targets": "/nonexistent.sft"},
+         "--soft-targets: direct training reads no soft targets"),
+        (["--temperature", "7"], {}, "--temperature: direct training reads no soft targets"),
+        ([], {"temperature": 7}, "--temperature: direct training reads no soft targets"),
+    ])
+    def test_soft_target_options_with_direct_exit_2(self, corpus, tmp_path, capsys,
+                                                      flags, cfg, message):
+        data = prepare(corpus, tmp_path / "data")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "direct", "--embed-dim", "4",
+                       *FAST, *flags, "--config", cfg_path, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("regime", ["direct", "matching-softmax"])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_embed_dim_with_embeddings_exit_2(self, corpus, tmp_path, capsys, regime, by_config):
+        data = prepare(corpus, tmp_path / "data")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"embed_dim": 9} if by_config else {}))
+        flags = [] if by_config else ["--embed-dim", "9"]
+        if regime == "matching-softmax":
+            flags += ["--soft-targets", "/nonexistent.sft"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", regime,
+                       "--embeddings", corpus / "small_vecs.txt", *flags, *FAST,
+                       "--config", cfg_path, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: --embed-dim: the --embeddings file sets the vector width\n"
+        )
+        assert not out.exists()
+
+    def test_matching_softmax_temperature_defaults_to_2(self, corpus, tmp_path):
+        data = prepare(corpus, tmp_path / "data")
+        assert run_cli("teacher", "--data", data, "--embeddings", corpus / "small_vecs.txt",
+                       "--hidden", "6", "--epochs", "1", "--out", tmp_path / "teacher") == 0
+        assert run_cli("soft-targets", "--data", data, "--teacher",
+                       tmp_path / "teacher" / "teacher.mdl", "--out", tmp_path / "soft") == 0
+        out = tmp_path / "ms"
+        assert run_cli("train", "--data", data, "--regime", "matching-softmax",
+                       "--embeddings", corpus / "small_vecs.txt", "--hidden", "4",
+                       "--soft-targets", tmp_path / "soft" / "soft_targets.sft",
+                       *FAST, "--out", out) == 0
+        assert json.loads((out / "result.json").read_text())["temperature"] == 2.0
+
+
 class TestNonFiniteNumbers:
     """A numeric option that is NaN or infinite is a configuration error
     (exit 2) naming the option, raised before any output is written."""

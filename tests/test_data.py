@@ -2,6 +2,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embdistill.data import (
     ALL_PHRASES,
@@ -20,6 +22,17 @@ from embdistill.embeddings import UNK_TOKEN, Vocabulary
 from embdistill.errors import ConfigError, DataError, ParseError
 
 from helpers import count_nodes, random_tree, serialize_tree
+
+# tokens hold no whitespace, control character or parenthesis
+_tokens = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                                blacklist_characters="()"), min_size=1, max_size=6)
+_labels = st.integers(0, 4)
+labeled_trees = st.recursive(
+    st.builds(lambda label, token: LabeledTree(label, (), token), _labels, _tokens),
+    lambda children: st.builds(lambda label, kids: LabeledTree(label, tuple(kids)),
+                               _labels, st.lists(children, min_size=1, max_size=4)),
+    max_leaves=24,
+)
 
 
 class TestParseTree:
@@ -77,6 +90,11 @@ class TestParseTree:
         for _ in range(200):
             tree = random_tree(rng)
             assert parse_tree(serialize_tree(tree)) == tree
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_trees)
+    def test_serialised_tree_parses_back(self, tree):
+        assert parse_tree(serialize_tree(tree)) == tree
 
 
 class TestExtractSamples:

@@ -318,6 +318,73 @@ class TestWord2vecStreaming:
             load_word2vec_text(path)
 
 
+def _long_file_lines(count=1500, dim=40):
+    """The header and vector lines of a file of about 560 KB of text, so
+    the reader takes several blocks of lines to read it."""
+    rng = np.random.default_rng(14)
+    return [f"{count} {dim}"] + [
+        f"w{i} " + " ".join(f"{v:.6f}" for v in row)
+        for i, row in enumerate(rng.normal(size=(count, dim)))
+    ]
+
+
+def _per_line_parse(lines):
+    """The reference: every vector line parsed alone, the unknown token
+    the mean of the file's vectors, as a (dim, count + 1) matrix."""
+    rows = [np.array(line.split()[1:], dtype=np.float32) for line in lines[1:]]
+    values = np.ascontiguousarray(np.array(rows).astype(float).T)
+    return np.hstack([values, values.mean(axis=1, keepdims=True)])
+
+
+class TestWord2vecBlocks:
+    """A file several reading blocks long loads and fails as a
+    line-by-line parse does; line 1401 sits past the first block."""
+
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "vecs.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_values_and_unk_mean_bit_for_bit(self, tmp_path):
+        lines = _long_file_lines()
+        table = load_word2vec_text(self._write(tmp_path, lines))
+        assert table.vocab.words == [f"w{i}" for i in range(1500)] + [UNK_TOKEN]
+        assert table.matrix.flags.c_contiguous
+        assert np.array_equal(table.matrix, _per_line_parse(lines))
+
+    def test_underscore_value_in_a_later_block(self, tmp_path):
+        lines = _long_file_lines()
+        lines[1400] = lines[1400].rsplit(" ", 1)[0] + " 1_0"
+        table = load_word2vec_text(self._write(tmp_path, lines))
+        assert table.matrix[39, 1399] == 10.0
+        lines[1400] = lines[1400][:-3] + "10"
+        assert np.array_equal(table.matrix, _per_line_parse(lines))
+
+    @pytest.mark.parametrize("line, text, message", [
+        (1400, "w1399 1 2", "vecs.txt:1401: expected token plus 40 values, got 3 fields"),
+        (1400, "w1399" + " 1" * 39 + " oops", "vecs.txt:1401: non-numeric vector value"),
+        (1401, "w1399" + " 1" * 40, "vecs.txt:1402: duplicate word 'w1399'"),
+        (1400, "w5" + " 1" * 40, "vecs.txt:1401: duplicate word 'w5'"),
+    ])
+    def test_bad_line_in_a_later_block_names_its_line(self, tmp_path, line, text, message):
+        lines = _long_file_lines()
+        lines[line] = text
+        with pytest.raises(ParseError, match=message):
+            load_word2vec_text(self._write(tmp_path, lines))
+
+    def test_surplus_line_in_a_later_block(self, tmp_path):
+        lines = _long_file_lines()
+        lines[0] = "1499 40"
+        with pytest.raises(ParseError, match="declares 1499 vectors, file has more"):
+            load_word2vec_text(self._write(tmp_path, lines))
+
+    def test_file_ends_mid_block_short_of_its_count(self, tmp_path):
+        lines = _long_file_lines()
+        lines[0] = "1600 40"
+        with pytest.raises(ParseError, match="declares 1600 vectors, file has 1500$"):
+            load_word2vec_text(self._write(tmp_path, lines))
+
+
 class TestNativeTableFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.emb"
@@ -404,3 +471,19 @@ class TestAlignToVocab:
             aligned.matrix[:, task_vocab.unk_index],
             pretrained.matrix[:, pre_vocab.unk_index],
         )
+
+    def test_same_values_as_one_draw_per_missing_word(self):
+        # the reference: words in vocabulary order, one uniform draw per
+        # word the pretrained table lacks
+        rng = np.random.default_rng(15)
+        pretrained = random_table(rng, vocab_size=30, dim=6)
+        words = [f"w{i}" for i in range(0, 40, 2)] + [UNK_TOKEN] + ["x", "y"]
+        task_vocab = Vocabulary.from_words(words)
+        aligned = align_to_vocab(pretrained, task_vocab, np.random.default_rng(16), scale=0.3)
+        reference = np.random.default_rng(16)
+        for i, word in enumerate(task_vocab.words):
+            if word in pretrained.vocab.index:
+                expected = pretrained.matrix[:, pretrained.vocab.index[word]]
+            else:
+                expected = reference.uniform(-0.3, 0.3, size=6)
+            assert np.array_equal(aligned.matrix[:, i], expected), word
