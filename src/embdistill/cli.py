@@ -20,16 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .data import (
-    ALL_PHRASES,
-    N_CLASSES,
-    DatasetSplits,
-    SENTENCE_ONLY,
-    SampleSet,
-    build_vocab,
-    extract_samples,
-    read_tree_file,
-)
+from .data import ALL_PHRASES, N_CLASSES, SENTENCE_ONLY, DatasetSplits, SampleSet, read_splits
 from .distillation import (
     DEFAULT_TEMPERATURE,
     DIRECT_SMALL,
@@ -89,12 +80,14 @@ class _Option(NamedTuple):
     on/off flag) or a one-item list such as ``[float]``: a list of that
     kind, given as a JSON list or as one comma-separated flag word (several
     words with ``nargs="+"``).  An option without a default is read as
-    required (``opts[key]``) or optional (``opts.get(key)``)."""
+    required (``opts[key]``) or optional (``opts.get(key)``).  A number
+    below ``least``, when set, is refused."""
 
     kind: object
     default: object = None
     help: str | None = None
     nargs: str | None = None
+    least: int | None = None
 
 
 class _Options(dict):
@@ -105,12 +98,12 @@ class _Options(dict):
         raise ConfigError(f"missing required option --{key.replace('_', '-')}")
 
 
-def _convert(value, kind, key: str):
+def _convert(value, kind, key: str, least=None):
     """``kind(value)``, the one conversion for flag strings and config-file
     values alike; a value that does not convert, a non-string for a string
-    option, a JSON boolean, a fractional number for an int, or a float
-    that is not finite, is a ConfigError naming the option.  An on/off
-    option takes only true or false."""
+    option, a JSON boolean, a fractional number for an int, a float that
+    is not finite, or a number below ``least``, is a ConfigError naming
+    the option.  An on/off option takes only true or false."""
     flag = f"--{key.replace('_', '-')}"
     if kind is bool:
         if not isinstance(value, bool):
@@ -125,6 +118,8 @@ def _convert(value, kind, key: str):
         raise ConfigError(f"{flag}: cannot read {value!r} as {kind.__name__}") from None
     if kind is float and not np.isfinite(out):
         raise ConfigError(f"{flag}: {out} is not a finite number")
+    if least is not None and out < least:
+        raise ConfigError(f"{flag}: must be >= {least}, got {out}")
     return out
 
 
@@ -152,9 +147,9 @@ def _read_options(args) -> _Options:
                 value = [value] if opt.nargs else [v for v in value.split(",") if v != ""]
             elif not isinstance(value, (list, tuple)):
                 value = [value]
-            opts[key] = tuple(_convert(v, opt.kind[0], key) for v in value)
+            opts[key] = tuple(_convert(v, opt.kind[0], key, opt.least) for v in value)
         else:
-            opts[key] = _convert(value, opt.kind, key)
+            opts[key] = _convert(value, opt.kind, key, opt.least)
     return opts
 
 
@@ -173,10 +168,12 @@ def _dump_json(payload: dict, path) -> None:
 # ---------------------------------------------------------------------------
 # prepared-dataset cache
 
-def _write_samples(path, samples) -> None:
+def _write_samples(path, samples: SampleSet) -> None:
+    ids = list(map(str, samples.tokens.tolist()))
     with atomic_write(path, "w") as fh:
-        for s in samples:
-            fh.write(f"{s.label}\t{' '.join(str(int(t)) for t in s.tokens)}\n")
+        for label, start, length in zip(samples.labels.tolist(), samples.starts.tolist(),
+                                        samples.lengths.tolist()):
+            fh.write(f"{label}\t{' '.join(ids[start:start + length])}\n")
 
 
 def _read_samples(path, vocab_size: int) -> SampleSet:
@@ -224,17 +221,16 @@ def _read_samples(path, vocab_size: int) -> SampleSet:
 
 def _read_vocab_file(path) -> Vocabulary:
     """The prepared vocabulary, one token per line; blank lines are skipped."""
-    words, seen = [], set()
+    index: dict[str, int] = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             word = raw.rstrip("\n")
             if not word:
                 continue
-            if word in seen:
+            if word in index:
                 raise DataError(f"{path}:{lineno}: duplicate vocabulary token {word!r}")
-            seen.add(word)
-            words.append(word)
-    return Vocabulary.from_words(words)
+            index[word] = len(index)
+    return Vocabulary.from_index(index)
 
 
 def _load_prepared(data_dir, sentences_only: bool = False) -> DatasetSplits:
@@ -272,49 +268,34 @@ def cmd_prepare(opts) -> int:
 
     # Parse everything before writing anything, so a bad line can never
     # leave a partial cache behind.
-    train_trees = read_tree_file(opts["train"])
-    valid_trees = read_tree_file(opts["valid"])
-    test_trees = read_tree_file(opts["test"])
-    vocab = build_vocab(train_trees, lowercase)
-
-    train_phrases = [
-        s for t in train_trees for s in extract_samples(t, ALL_PHRASES, vocab, lowercase)
-    ]
-    train_sentences = [
-        s for t in train_trees for s in extract_samples(t, SENTENCE_ONLY, vocab, lowercase)
-    ]
-    valid = [
-        s for t in valid_trees for s in extract_samples(t, SENTENCE_ONLY, vocab, lowercase)
-    ]
-    test = [
-        s for t in test_trees for s in extract_samples(t, SENTENCE_ONLY, vocab, lowercase)
-    ]
-    train = train_phrases if mode == ALL_PHRASES else train_sentences
+    splits, sentences = read_splits(opts["train"], opts["valid"], opts["test"], ALL_PHRASES,
+                                    lowercase)
 
     out = _out_dir(opts)
     with atomic_write(os.path.join(out, "vocab.txt"), "w") as fh:
-        fh.write("\n".join(vocab.words) + "\n")
-    _write_samples(os.path.join(out, "train.samples"), train)
-    _write_samples(os.path.join(out, _SENTENCE_TRAIN), train_sentences)
-    _write_samples(os.path.join(out, "valid.samples"), valid)
-    _write_samples(os.path.join(out, "test.samples"), test)
+        fh.write("\n".join(splits.vocab.words) + "\n")
+    _write_samples(os.path.join(out, "train.samples"),
+                   splits.train if mode == ALL_PHRASES else sentences)
+    _write_samples(os.path.join(out, _SENTENCE_TRAIN), sentences)
+    _write_samples(os.path.join(out, "valid.samples"), splits.valid)
+    _write_samples(os.path.join(out, "test.samples"), splits.test)
     _dump_json(
         {
             "mode": mode,
             "lowercase": lowercase,
-            "vocab_size": len(vocab),
-            "train_sentences": len(train_sentences),
-            "train_phrases": len(train_phrases),
-            "valid": len(valid),
-            "test": len(test),
+            "vocab_size": len(splits.vocab),
+            "train_sentences": len(sentences),
+            "train_phrases": len(splits.train),
+            "valid": len(splits.valid),
+            "test": len(splits.test),
         },
         os.path.join(out, "meta.json"),
     )
-    print(f"vocab: {len(vocab)} tokens (unknown token included)")
-    print(f"train: {len(train_trees)} trees, {len(train_sentences)} sentence samples, "
-          f"{len(train_phrases)} phrase samples")
-    print(f"valid: {len(valid)} sentence samples")
-    print(f"test: {len(test)} sentence samples")
+    print(f"vocab: {len(splits.vocab)} tokens (unknown token included)")
+    print(f"train: {len(sentences)} trees, {len(sentences)} sentence samples, "
+          f"{len(splits.train)} phrase samples")
+    print(f"valid: {len(splits.valid)} sentence samples")
+    print(f"test: {len(splits.test)} sentence samples")
     print(f"cached mode: {mode}")
     return 0
 
@@ -652,7 +633,7 @@ def _commands() -> dict:
     grid, trial = TrainingProtocol(), TrainConfig(learning_rate=0.3)
     data = _Option(str, help="prepared data directory")
     out = _Option(str, help="output directory")
-    seed = _Option(int, trial.seed, "base seed")
+    seed = _Option(int, trial.seed, "base seed", least=0)
     init_scale = _Option(float, 0.1, "scale of random vectors for words the table lacks")
     temperature = _Option(float, DEFAULT_TEMPERATURE, "softmax temperature")
     sentences_only = _Option(bool, False, "train on whole sentences, not every phrase")
@@ -666,11 +647,12 @@ def _commands() -> dict:
         "batch_size": _Option(int, grid.batch_size),
         "epochs": _Option(int, grid.max_epochs),
         "patience": _Option(int, grid.patience),
-        "grid_seed": _Option(int, grid.grid_seed),
-        "seeds": _Option([int], grid.restart_seeds, "comma-separated restart seeds"),
+        "grid_seed": _Option(int, grid.grid_seed, least=0),
+        "seeds": _Option([int], grid.restart_seeds, "comma-separated restart seeds", least=0),
         "hidden": _Option(int, 50, "hidden layer width"),
         "classes": classes, "init_scale": init_scale, "sentences_only": sentences_only,
-        "seed": seed, "jobs": _Option(int, 1, "max concurrent grid lanes"), "out": out,
+        "seed": seed, "jobs": _Option(int, 1, "max concurrent grid lanes", least=1),
+        "out": out,
     }
     return {
         "prepare": (cmd_prepare, "parse tree files and cache vocab/splits", {
@@ -703,7 +685,7 @@ def _commands() -> dict:
         }),
         "distill": (cmd_distill, "run the encoding regime on large embeddings", {
             "embeddings": _Option(str, help="large pretrained vectors"),
-            "distill_dim": _Option(int, 50),
+            "distill_dim": _Option(int, 50, least=1),
             **regime_options,
         }),
         "fold": (cmd_fold, "bake a model's encoder into a small table", {

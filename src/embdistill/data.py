@@ -8,6 +8,7 @@ enrichment); validation and test always use whole sentences only.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,21 +33,23 @@ class LabeledTree:
     def is_leaf(self) -> bool:
         return self.token is not None
 
-    def leaf_tokens(self) -> list[str]:
-        """Tokens of the leaves, left to right."""
-        if self.is_leaf:
-            return [self.token]
-        out: list[str] = []
-        for child in self.children:
-            out.extend(child.leaf_tokens())
-        return out
-
-    def nodes(self) -> list["LabeledTree"]:
-        """All nodes in preorder (node before its children)."""
-        out = [self]
-        for child in self.children:
-            out.extend(child.nodes())
-        return out
+    def walk(self) -> tuple[list[str], list[list]]:
+        """The leaf tokens, left to right, and each node's ``[label, start,
+        end]`` in preorder: a node covers ``tokens[start:end]``.  One pass,
+        without recursion."""
+        tokens, spans, stack = [], [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, list):  # a span whose subtree is walked
+                node[2] = len(tokens)
+            elif node.token is not None:
+                spans.append([node.label, len(tokens), len(tokens) + 1])
+                tokens.append(node.token)
+            else:
+                spans.append([node.label, len(tokens), None])
+                stack.append(spans[-1])
+                stack += node.children[::-1]
+        return tokens, spans
 
 
 @dataclass
@@ -118,8 +121,8 @@ class DatasetSplits:
         self.test = SampleSet.of(self.test)
 
 
-def _byte_offset(line: str, pos: int) -> int:
-    return len(line[:pos].encode("utf-8"))
+_SPACES = re.compile(r"[ \t]*")
+_WORD = re.compile(r"[^ \t()]*")  # a label or a token
 
 
 def parse_tree(line: str) -> LabeledTree:
@@ -127,28 +130,27 @@ def parse_tree(line: str) -> LabeledTree:
 
     Grammar: tree = "(" label (token | tree+) ")" with integer labels in
     0..4 and tokens free of whitespace and parentheses.  Errors report
-    the byte offset of the offending position.
+    the byte offset of the offending position.  Nodes are parsed in a
+    loop, not by recursion, so nesting depth is not bounded by the stack.
     """
-    pos = 0
     n = len(line)
 
     def fail(msg: str, at: int):
-        raise ParseError(f"byte {_byte_offset(line, at)}: {msg}")
+        raise ParseError(f"byte {len(line[:at].encode('utf-8'))}: {msg}")
 
-    def skip_spaces():
-        nonlocal pos
-        while pos < n and line[pos] in " \t":
-            pos += 1
+    def close(pos: int) -> int:
+        pos = _SPACES.match(line, pos).end()
+        if pos >= n or line[pos] != ")":
+            fail("unbalanced parentheses (expected ')')", pos)
+        return pos + 1
 
-    def parse_node() -> LabeledTree:
-        nonlocal pos
+    opened: list[tuple[int, list]] = []  # label and children of each open node
+    pos = _SPACES.match(line).end()
+    while True:
         if pos >= n or line[pos] != "(":
             fail("expected '('", pos)
-        pos += 1
-        skip_spaces()
-        start = pos
-        while pos < n and line[pos] not in " \t()":
-            pos += 1
+        start = _SPACES.match(line, pos + 1).end()
+        pos = _WORD.match(line, start).end()
         label_text = line[start:pos]
         if not label_text:
             fail("missing label", start)
@@ -158,33 +160,29 @@ def parse_tree(line: str) -> LabeledTree:
             fail(f"non-integer label {label_text!r}", start)
         if not 0 <= label < N_CLASSES:
             fail(f"label {label} outside 0..{N_CLASSES - 1}", start)
-        skip_spaces()
+        pos = _SPACES.match(line, pos).end()
         if pos >= n:
             fail("unbalanced parentheses (unexpected end of line)", pos)
         if line[pos] == "(":
-            children = []
-            while pos < n and line[pos] == "(":
-                children.append(parse_node())
-                skip_spaces()
-            if pos >= n or line[pos] != ")":
-                fail("unbalanced parentheses (expected ')')", pos)
-            pos += 1
-            return LabeledTree(label, tuple(children))
+            opened.append((label, []))
+            continue
         if line[pos] == ")":
             fail("empty node (no token or children)", pos)
-        start = pos
-        while pos < n and line[pos] not in " \t()":
-            pos += 1
-        token = line[start:pos]
-        skip_spaces()
-        if pos >= n or line[pos] != ")":
-            fail("unbalanced parentheses (expected ')')", pos)
-        pos += 1
-        return LabeledTree(label, (), token)
-
-    skip_spaces()
-    tree = parse_node()
-    skip_spaces()
+        start, pos = pos, _WORD.match(line, pos).end()
+        tree = LabeledTree(label, (), line[start:pos])
+        pos = close(pos)
+        # attach the finished node; close each parent it completes
+        while opened:
+            opened[-1][1].append(tree)
+            pos = _SPACES.match(line, pos).end()
+            if pos < n and line[pos] == "(":
+                break
+            pos = close(pos)
+            label, children = opened.pop()
+            tree = LabeledTree(label, tuple(children))
+        else:
+            break
+    pos = _SPACES.match(line, pos).end()
     if pos != n:
         fail("trailing text after tree", pos)
     return tree
@@ -211,16 +209,11 @@ def read_tree_file(path) -> list[LabeledTree]:
 
 def build_vocab(train_trees, lowercase: bool = False) -> Vocabulary:
     """Vocabulary of training leaf tokens in first-occurrence order, plus UNK."""
-    words: list[str] = []
-    seen: set[str] = set()
+    index: dict[str, int] = {}
     for tree in train_trees:
-        for token in tree.leaf_tokens():
-            if lowercase:
-                token = token.lower()
-            if token not in seen:
-                seen.add(token)
-                words.append(token)
-    return Vocabulary.from_words(words)
+        for token in tree.walk()[0]:
+            index.setdefault(token.lower() if lowercase else token, len(index))
+    return Vocabulary.from_index(index)
 
 
 def extract_samples(
@@ -230,18 +223,42 @@ def extract_samples(
 
     ``sentence_only`` yields a single sample (root label over the leaf
     tokens); ``all_phrases`` yields one sample per node, preorder,
-    keeping duplicates.  Out-of-vocabulary tokens map to UNK.
+    keeping duplicates, so the first is the sentence.  Out-of-vocabulary
+    tokens map to UNK.  The tree is walked once and each token looked up
+    once: every sample is a slice of the tree's one id array.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown sample mode {mode!r}, expected one of {_MODES}")
-    nodes = tree.nodes() if mode == ALL_PHRASES else [tree]
-    samples = []
-    for node in nodes:
-        tokens = node.leaf_tokens()
-        if lowercase:
-            tokens = [t.lower() for t in tokens]
-        samples.append(Sample(np.array([vocab.to_index(t) for t in tokens]), node.label))
-    return samples
+    tokens, spans = tree.walk()
+    ids = np.array([vocab.to_index(t.lower() if lowercase else t) for t in tokens], np.intp)
+    if mode == SENTENCE_ONLY:
+        spans = spans[:1]
+    return [Sample(ids[start:end], label) for label, start, end in spans]
+
+
+def read_splits(
+    train_path,
+    valid_path,
+    test_path,
+    mode: str = ALL_PHRASES,
+    lowercase: bool = False,
+    vocab: Vocabulary | None = None,
+) -> tuple[DatasetSplits, SampleSet]:
+    """Read three tree files once: the splits, the training set in the
+    requested phrase mode, and the training sentences, each its tree's
+    first sample, the root.  Validation and test are always sentences.
+    The vocabulary is built from the training trees unless supplied."""
+    train_trees = read_tree_file(train_path)
+    valid_trees = read_tree_file(valid_path)
+    test_trees = read_tree_file(test_path)
+    if vocab is None:
+        vocab = build_vocab(train_trees, lowercase)
+    per_tree = [extract_samples(t, mode, vocab, lowercase) for t in train_trees]
+    train = [s for samples in per_tree for s in samples]
+    valid = [extract_samples(t, SENTENCE_ONLY, vocab, lowercase)[0] for t in valid_trees]
+    test = [extract_samples(t, SENTENCE_ONLY, vocab, lowercase)[0] for t in test_trees]
+    sentences = SampleSet.of([samples[0] for samples in per_tree])
+    return DatasetSplits(train, valid, test, vocab), sentences
 
 
 def load_splits(
@@ -252,18 +269,5 @@ def load_splits(
     lowercase: bool = False,
     vocab: Vocabulary | None = None,
 ) -> DatasetSplits:
-    """Assemble train/valid/test splits from three tree files.
-
-    The training file uses the requested phrase mode; validation and
-    test are always whole sentences.  The vocabulary is built from the
-    training trees unless one is supplied.
-    """
-    train_trees = read_tree_file(train_path)
-    valid_trees = read_tree_file(valid_path)
-    test_trees = read_tree_file(test_path)
-    if vocab is None:
-        vocab = build_vocab(train_trees, lowercase)
-    train = [s for t in train_trees for s in extract_samples(t, mode, vocab, lowercase)]
-    valid = [s for t in valid_trees for s in extract_samples(t, SENTENCE_ONLY, vocab, lowercase)]
-    test = [s for t in test_trees for s in extract_samples(t, SENTENCE_ONLY, vocab, lowercase)]
-    return DatasetSplits(train, valid, test, vocab)
+    """The splits ``read_splits`` reads."""
+    return read_splits(train_path, valid_path, test_path, mode, lowercase, vocab)[0]

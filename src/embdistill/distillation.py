@@ -85,6 +85,12 @@ class SoftTargetSet:
             raise ConfigError(
                 f"soft target row {worst} sums to {sums[worst]}, expected 1"
             )
+        outside = ~((self.targets >= 0) & (self.targets <= 1))
+        if outside.any():
+            row, col = np.argwhere(outside)[0]
+            raise ConfigError(
+                f"soft target row {row} has value {self.targets[row, col]} outside [0, 1]"
+            )
 
     def __len__(self) -> int:
         return self.targets.shape[0]
@@ -239,8 +245,8 @@ def run_regime(
     if regime.tag == ENCODING_DISTILL:
         if table is None:
             raise ConfigError("encoding regime needs the pretrained large table")
-        if distill_dim is None:
-            raise ConfigError("encoding regime needs the distilled width")
+        if distill_dim is None or distill_dim < 1:
+            raise ConfigError(f"encoding regime needs a distilled width >= 1, got {distill_dim}")
         config = ModelConfig(
             n_embed=table.dim,
             n_hidden=n_hidden,

@@ -42,17 +42,20 @@ class Vocabulary:
     @classmethod
     def from_words(cls, words) -> "Vocabulary":
         """Build from distinct tokens, appending UNK_TOKEN if absent."""
-        out: list[str] = []
-        seen: set[str] = set()
+        index: dict[str, int] = {}
         for w in words:
-            if w in seen:
+            if w in index:
                 raise ConfigError(f"duplicate vocabulary token {w!r}")
-            seen.add(w)
-            out.append(w)
-        if UNK_TOKEN not in seen:
-            out.append(UNK_TOKEN)
-        index = {w: i for i, w in enumerate(out)}
-        return cls(out, index, index[UNK_TOKEN])
+            index[w] = len(index)
+        return cls.from_index(index)
+
+    @classmethod
+    def from_index(cls, index: dict[str, int]) -> "Vocabulary":
+        """Build from a ``{token: position}`` dict whose positions count
+        up from 0 in insertion order, appending UNK_TOKEN if absent.  The
+        dict becomes the vocabulary's index; it is not checked again."""
+        index.setdefault(UNK_TOKEN, len(index))
+        return cls(list(index), index, index[UNK_TOKEN])
 
     def __len__(self) -> int:
         return len(self.words)
@@ -201,27 +204,25 @@ def load_word2vec_text(path) -> EmbeddingTable:
                 f"{path}:1: header declares {count} vectors of dim {dim}, too many to hold"
             ) from None
 
-        words: list[str] = []
-        seen: set[str] = set()
+        index: dict[str, int] = {}  # word -> column, in file order
         while lines := fh.readlines(_BLOCK_CHARS):
-            n, k = len(words), len(lines)
+            n, k = len(index), len(lines)
             pairs = [line.split(None, 1) for line in lines]
-            tokens = [pair[0] for pair in pairs if pair]
+            block_index = {pair[0]: i for i, pair in enumerate(pairs, start=n) if pair}
             # one C-reader call a block; it rounds to float32 as the per-line parse does
             block = None
             if (n + k <= count and all(len(pair) == 2 for pair in pairs)
-                    and len(set(tokens)) == k and seen.isdisjoint(tokens)):
+                    and len(block_index) == k and index.keys().isdisjoint(block_index)):
                 with suppress(ValueError):
                     block = np.loadtxt([pair[1] for pair in pairs], dtype=np.float32,
                                        comments=None, ndmin=2)
             if block is not None and block.shape == (k, dim):
                 matrix[:, n:n + k] = block.T
-                words += tokens
-                seen.update(tokens)
+                index |= block_index
                 continue
             # else the per-line parse: it names a bad line and takes what float() takes
             for lineno, line in enumerate(lines, start=n + 2):
-                if len(words) == count:
+                if len(index) == count:
                     raise ParseError(f"{path}: header declares {count} vectors, file has more")
                 parts = line.split()
                 if len(parts) != dim + 1:
@@ -230,16 +231,15 @@ def load_word2vec_text(path) -> EmbeddingTable:
                         f"got {len(parts)} fields"
                     )
                 token = parts[0]
-                if token in seen:
+                if token in index:
                     raise ParseError(f"{path}:{lineno}: duplicate word {token!r}")
-                seen.add(token)
                 try:
-                    matrix[:, len(words)] = np.array(parts[1:], dtype=np.float32)
+                    matrix[:, len(index)] = np.array(parts[1:], dtype=np.float32)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
-                words.append(token)
-        if len(words) != count:
-            raise ParseError(f"{path}: header declares {count} vectors, file has {len(words)}")
+                index[token] = len(index)
+        if len(index) != count:
+            raise ParseError(f"{path}: header declares {count} vectors, file has {len(index)}")
 
         # float32 values cannot add up past the float64 range, so a row's
         # mean is finite exactly when all its values are
@@ -248,7 +248,7 @@ def load_word2vec_text(path) -> EmbeddingTable:
             column = np.flatnonzero(~np.isfinite(matrix[:, :count]).all(axis=0))[0]
             raise ParseError(f"{path}:{column + 2}: non-finite vector value")
 
-    if UNK_TOKEN in seen:
+    if UNK_TOKEN in index:
         # drop the spare column in place, with no second copy of the
         # table: row r moves r places to the left
         flat = matrix.reshape(-1)
@@ -257,7 +257,7 @@ def load_word2vec_text(path) -> EmbeddingTable:
         matrix = flat[: dim * count].reshape(dim, count)
     else:
         matrix[:, count] = unk
-    return EmbeddingTable(Vocabulary.from_words(words), matrix)
+    return EmbeddingTable(Vocabulary.from_index(index), matrix)
 
 
 def save_table(table: EmbeddingTable, path) -> None:

@@ -80,6 +80,8 @@ class TrainConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.decay_scheme not in DECAY_SCHEMES:
             raise ConfigError(
                 f"unknown decay scheme {self.decay_scheme!r}, "
@@ -291,6 +293,9 @@ class TrainingProtocol:
                 raise ConfigError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} contains duplicates: {values}")
+        for seed in (self.grid_seed, *self.restart_seeds):
+            if seed < 0:
+                raise ConfigError(f"seeds must be >= 0, got {seed}")
         for scheme in self.decay_schemes:
             if scheme not in DECAY_SCHEMES:
                 raise ConfigError(
@@ -357,6 +362,8 @@ def grid_search(
     Grid points run one (lr, scheme) lane at a time, lr then scheme in
     protocol order, dropout ascending within a lane.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     lanes = [
         [
             TrainConfig(learning_rate=lr, decay_scheme=scheme, batch_size=protocol.batch_size,

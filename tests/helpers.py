@@ -8,6 +8,8 @@ central differences of the evaluation-mode loss.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from embdistill.data import DatasetSplits, LabeledTree, Sample, SampleSet
 from embdistill.embeddings import EmbeddingTable, EncoderLayer, Vocabulary
@@ -125,10 +127,13 @@ def tiny_model(
     n_distill: int = 0,
     n_hidden: int = 4,
     n_classes: int = 3,
+    vocab: Vocabulary | None = None,
 ) -> ClassifierModel:
     from embdistill.model import ModelConfig
 
-    vocab = Vocabulary.from_words([f"w{i}" for i in range(vocab_size - 1)])
+    if vocab is None:
+        vocab = Vocabulary.from_words([f"w{i}" for i in range(vocab_size - 1)])
+    vocab_size = len(vocab)
     table = EmbeddingTable(vocab, rng.normal(scale=0.5, size=(n_embed, vocab_size)))
     config = ModelConfig(
         n_embed=n_embed,
@@ -170,6 +175,47 @@ def random_tree(rng: np.random.Generator, depth: int = 0, max_depth: int = 4) ->
 
 def count_nodes(tree: LabeledTree) -> int:
     return 1 + sum(count_nodes(c) for c in tree.children)
+
+
+def leaf_tokens(tree: LabeledTree) -> list[str]:
+    """Reference: the tokens of the leaves, left to right, by recursion."""
+    if tree.is_leaf:
+        return [tree.token]
+    return [token for child in tree.children for token in leaf_tokens(child)]
+
+
+def preorder_nodes(tree: LabeledTree) -> list[LabeledTree]:
+    """Reference: every node in preorder (node before its children), by
+    recursion."""
+    return [tree] + [node for child in tree.children for node in preorder_nodes(child)]
+
+
+# tokens hold no whitespace, control character or parenthesis
+token_strings = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                                      blacklist_characters="()"), min_size=1, max_size=6)
+labeled_trees = st.recursive(
+    st.builds(lambda label, token: LabeledTree(label, (), token),
+              st.integers(0, 4), token_strings),
+    lambda children: st.builds(lambda label, kids: LabeledTree(label, tuple(kids)),
+                               st.integers(0, 4), st.lists(children, min_size=1, max_size=4)),
+    max_leaves=24,
+)
+
+
+# ---------------------------------------------------------------------------
+# artifact contents shared by the MDL1, EMB1 and SFT1 round trips
+
+def vocabularies(min_size: int = 0, max_size: int = 8):
+    """Vocabularies of distinct tokens, the unknown token appended."""
+    return st.lists(token_strings, min_size=min_size, max_size=max_size, unique=True).map(
+        Vocabulary.from_words)
+
+
+def f32_blocks(shape, min_value=None, max_value=None):
+    """float64 arrays of ``shape`` whose every value is a finite float32,
+    so an f32 block stores them exactly."""
+    return arrays(np.float64, shape, elements=st.floats(
+        min_value, max_value, width=32, allow_nan=False, allow_infinity=False))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,34 @@ class TestPrepare:
         assert not (out / "train.samples").exists()
         assert "train.txt:1" in capsys.readouterr().err
 
+    def test_tree_nested_deeper_than_the_interpreter_stack(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        (corpus / "train.txt").write_text("(0 " * 4999 + "(1 deep)" + ")" * 4999 + "\n")
+        (corpus / "valid.txt").write_text("(1 deep)\n")
+        (corpus / "test.txt").write_text("(1 deep)\n")
+        data = prepare(corpus, tmp_path / "data")
+        assert "1 trees, 1 sentence samples, 5000 phrase samples" in capsys.readouterr().out
+        train = (data / "train.samples").read_text().splitlines()
+        assert train == ["0\t0"] * 4999 + ["1\t0"]
+        assert (data / "train_sentence.samples").read_text() == "0\t0\n"
+
+    def test_deep_unbalanced_line_exit_3_no_output(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        line = "(0 " * 4999 + "(1 deep)" + ")" * 4998
+        (corpus / "train.txt").write_text("(1 x)\n" + line + "\n")
+        (corpus / "valid.txt").write_text("(1 x)\n")
+        (corpus / "test.txt").write_text("(1 x)\n")
+        out = tmp_path / "data"
+        code = run_cli("prepare", "--train", corpus / "train.txt", "--valid",
+                       corpus / "valid.txt", "--test", corpus / "test.txt", "--out", out)
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == (f"error: {corpus / 'train.txt'}:2: byte {len(line)}: "
+                       "unbalanced parentheses (expected ')')\n")
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         code = run_cli(
             "prepare", "--train", tmp_path / "absent.txt",
@@ -617,6 +645,20 @@ class TestErrorContract:
                        *FAST, "--out", tmp_path / "out") == 3
         assert f"{table}: duplicate vocabulary token 'w0x0'" in capsys.readouterr().err
 
+    def test_soft_targets_outside_unit_interval_exit_3(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        n = len((data / "train.samples").read_text().splitlines())
+        bad = tmp_path / "bad.sft"
+        bad.write_bytes(b"SFT1" + struct.pack("<IIf", n, 5, 2.0)
+                        + struct.pack("<5f", 1.5, -0.5, 0, 0, 0) * n)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--regime", "matching-softmax",
+                       "--embed-dim", "4", "--soft-targets", bad, *FAST, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {bad}: soft target row 0 has value 1.5 outside [0, 1]\n")
+        assert not out.exists()
+
     def test_duplicate_vocab_line_exit_3(self, toy_corpus, tmp_path, capsys):
         data = prepare(toy_corpus, tmp_path / "data")
         vocab_file = data / "vocab.txt"
@@ -1008,6 +1050,51 @@ class TestNonFiniteNumbers:
                        tmp_path / "teacher" / "teacher.mdl", "--temperature", "inf",
                        "--out", out) == 2
         assert capsys.readouterr().err == "error: --temperature: inf is not a finite number\n"
+        assert not out.exists()
+
+
+class TestOptionsBelowTheirRange:
+    """A negative seed, ``--jobs`` below 1 or ``--distill-dim`` below 1 is a
+    configuration error (exit 2) naming the option, raised before any
+    output is written."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_vectors(corpus / "large_vecs.txt", write_toy_corpus(corpus, n_train=30), dim=12)
+        return corpus
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("train", ["--seeds", "-1"], "--seeds: must be >= 0, got -1"),
+        ("train", ["--seeds", "0,-2"], "--seeds: must be >= 0, got -2"),
+        ("train", ["--grid-seed", "-1"], "--grid-seed: must be >= 0, got -1"),
+        ("train", ["--jobs", "0"], "--jobs: must be >= 1, got 0"),
+        ("train", ["--jobs", "-3"], "--jobs: must be >= 1, got -3"),
+        ("teacher", ["--seed", "-1"], "--seed: must be >= 0, got -1"),
+        ("distill", ["--distill-dim", "0"], "--distill-dim: must be >= 1, got 0"),
+        ("distill", ["--seed", "-1"], "--seed: must be >= 0, got -1"),
+    ])
+    def test_exit_2_before_output(self, corpus, tmp_path, capsys, command, argv, message):
+        data = prepare(corpus, tmp_path / "data")
+        source = (["--regime", "direct", "--embed-dim", "4"] if command == "train"
+                  else ["--embeddings", corpus / "large_vecs.txt"])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(command, "--data", data, *source, *argv, "--epochs", "1",
+                       "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_file_value_exit_2(self, corpus, tmp_path, capsys):
+        data = prepare(corpus, tmp_path / "data")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seeds": [0, -1]}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("train", "--config", config, "--data", data, "--embed-dim", "4",
+                       "--out", out) == 2
+        assert capsys.readouterr().err == "error: --seeds: must be >= 0, got -1\n"
         assert not out.exists()
 
 

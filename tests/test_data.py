@@ -16,22 +16,19 @@ from embdistill.data import (
     extract_samples,
     load_splits,
     parse_tree,
+    read_splits,
     read_tree_file,
 )
 from embdistill.embeddings import UNK_TOKEN, Vocabulary
 from embdistill.errors import ConfigError, DataError, ParseError
 
-from helpers import count_nodes, random_tree, serialize_tree
-
-# tokens hold no whitespace, control character or parenthesis
-_tokens = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
-                                blacklist_characters="()"), min_size=1, max_size=6)
-_labels = st.integers(0, 4)
-labeled_trees = st.recursive(
-    st.builds(lambda label, token: LabeledTree(label, (), token), _labels, _tokens),
-    lambda children: st.builds(lambda label, kids: LabeledTree(label, tuple(kids)),
-                               _labels, st.lists(children, min_size=1, max_size=4)),
-    max_leaves=24,
+from helpers import (
+    count_nodes,
+    labeled_trees,
+    leaf_tokens,
+    preorder_nodes,
+    random_tree,
+    serialize_tree,
 )
 
 
@@ -96,6 +93,19 @@ class TestParseTree:
     def test_serialised_tree_parses_back(self, tree):
         assert parse_tree(serialize_tree(tree)) == tree
 
+    def test_nesting_deeper_than_the_interpreter_stack(self):
+        depth = 5000
+        tree = parse_tree("(0 " * (depth - 1) + "(1 deep)" + ")" * (depth - 1))
+        for _ in range(depth - 1):
+            assert tree.label == 0 and len(tree.children) == 1
+            tree = tree.children[0]
+        assert tree == LabeledTree(1, (), "deep")
+
+    def test_deep_line_error_names_its_byte(self):
+        line = "(0 " * 4999 + "(1 deep)" + ")" * 4998  # one ')' short
+        with pytest.raises(ParseError, match=f"byte {len(line)}: unbalanced"):
+            parse_tree(line)
+
 
 class TestExtractSamples:
     def setup_method(self):
@@ -137,6 +147,27 @@ class TestExtractSamples:
         other = parse_tree("(1 Z)")
         samples = extract_samples(other, SENTENCE_ONLY, self.vocab)
         assert list(samples[0].tokens) == [self.vocab.unk_index]
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_trees, st.booleans())
+    def test_each_sample_is_its_nodes_leaves_in_preorder(self, tree, lowercase):
+        vocab = build_vocab([tree], lowercase)
+
+        def ids(tokens):
+            return [vocab.to_index(t.lower() if lowercase else t) for t in tokens]
+
+        expected = [(ids(leaf_tokens(node)), node.label) for node in preorder_nodes(tree)]
+        samples = extract_samples(tree, ALL_PHRASES, vocab, lowercase)
+        assert [(s.tokens.tolist(), s.label) for s in samples] == expected
+        [sentence] = extract_samples(tree, SENTENCE_ONLY, vocab, lowercase)
+        assert (sentence.tokens.tolist(), sentence.label) == expected[0]
+
+    def test_phrases_of_a_tree_deeper_than_the_interpreter_stack(self):
+        depth = 5000
+        tree = parse_tree("(0 " * (depth - 1) + "(1 deep)" + ")" * (depth - 1))
+        samples = extract_samples(tree, ALL_PHRASES, build_vocab([tree]))
+        assert [s.label for s in samples] == [0] * (depth - 1) + [1]
+        assert all(s.tokens.tolist() == [0] for s in samples)
 
     def test_duplicate_phrases_kept(self):
         tree = parse_tree("(2 (1 same) (1 same))")
@@ -188,6 +219,31 @@ class TestLoadSplits:
         # one sample per tree, never per node
         assert len(splits.valid) == 2
         assert len(splits.test) == 2
+
+    def test_one_read_gives_phrases_and_sentences(self, tmp_path):
+        paths = [tmp_path / f"{name}.txt" for name in ("train", "valid", "test")]
+        self._write(paths[0], ["(3 (2 A) (4 (1 B) (0 c)))", "(1 X)", "(2 (1 a) (2 A))"])
+        self._write(paths[1], ["(3 (2 A) (4 Z))"])
+        self._write(paths[2], ["(0 X)", "(1 (0 B) (1 q))"])
+        splits, sentences = read_splits(*paths, ALL_PHRASES, lowercase=True)
+        for mode, train in ((ALL_PHRASES, splits.train), (SENTENCE_ONLY, sentences)):
+            loaded = load_splits(*paths, mode, lowercase=True)
+            assert loaded.vocab.words == splits.vocab.words
+            for got, want in ((train, loaded.train), (splits.valid, loaded.valid),
+                              (splits.test, loaded.test)):
+                assert got.tokens.tolist() == want.tokens.tolist()
+                assert got.lengths.tolist() == want.lengths.tolist()
+                assert got.labels.tolist() == want.labels.tolist()
+        # a tree's sentence is its first phrase, the root
+        roots = np.cumsum([0, 5, 1])
+        assert [s.tokens.tolist() for s in sentences] == [
+            splits.train[int(i)].tokens.tolist() for i in roots]
+
+    def test_unknown_mode(self, tmp_path):
+        path = tmp_path / "t.txt"
+        self._write(path, ["(1 X)"])
+        with pytest.raises(ConfigError, match="unknown sample mode"):
+            load_splits(path, path, path, "phrases")
 
     def test_windows_line_endings(self, tmp_path):
         unix = tmp_path / "unix.txt"

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embdistill.data import Sample
 from embdistill.distillation import (
@@ -33,7 +35,7 @@ from embdistill.model import (
 from embdistill.ops import cross_entropy, one_hot, softmax_ce_backward
 from embdistill.training import TrainConfig, TrainingProtocol, train_trial, ModelFactory
 
-from helpers import dense_gradients, tiny_model, toy_separable_task
+from helpers import dense_gradients, f32_blocks, tiny_model, toy_separable_task
 
 
 def params_hash(model) -> str:
@@ -75,6 +77,34 @@ class TestSoftTargetSet:
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ConfigError, match="sums to"):
             SoftTargetSet(2.0, np.array([[0.5, 0.2]]))
+
+    @pytest.mark.parametrize("row, value", [([1.5, -0.5, 0.0], "1.5"),
+                                            ([0.501, 0.5, -0.001], "-0.001")])
+    def test_entries_outside_unit_interval_rejected(self, row, value):
+        with pytest.raises(ConfigError, match=f"row 1 has value {value} outside"):
+            SoftTargetSet(2.0, np.array([[0.5, 0.5, -0.0], row]))
+
+    def test_cache_with_entries_outside_unit_interval_is_format_error(self, tmp_path):
+        path = tmp_path / "t.sft"
+        path.write_bytes(b"SFT1" + struct.pack("<IIf", 1, 2, 2.0) + struct.pack("<2f", 1.5, -0.5))
+        with pytest.raises(FormatError, match=f"{path}: soft target row 0 has value 1.5"):
+            load_soft_targets(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 6), n_classes=st.integers(1, 5),
+           temperature=st.floats(2.0**-4, 16.0, width=32), data=st.data())
+    def test_roundtrip_property(self, tmp_path_factory, n, n_classes, temperature, data):
+        weights = data.draw(f32_blocks((n, n_classes), 2.0**-8, 1.0))
+        rows = weights / weights.sum(axis=1, keepdims=True)
+        path = tmp_path_factory.mktemp("sft") / "t.sft"
+        save_soft_targets(SoftTargetSet(temperature, rows), path)
+        loaded = load_soft_targets(path)
+        assert loaded.temperature == temperature and loaded.targets.shape == rows.shape
+        assert np.all(np.abs(loaded.targets - rows) <= 1e-6)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")])
+        with pytest.raises(FormatError):
+            load_soft_targets(path)
 
     def test_cache_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -317,6 +347,16 @@ class TestRunRegime:
             n_hidden=5, n_classes=5, embed_dim=4, soft_targets=targets,
         )
         assert matched.aggregate.mean_accuracy >= direct.aggregate.mean_accuracy - 1e-9
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_encoding_width_below_one_rejected_before_training(self, width, monkeypatch):
+        rng = np.random.default_rng(9)
+        splits, vocab = toy_separable_task(rng, n_train=30, n_eval=10)
+        table = EmbeddingTable(vocab, rng.uniform(-0.3, 0.3, size=(10, len(vocab))))
+        monkeypatch.setattr("embdistill.distillation.grid_search", None)  # never reached
+        with pytest.raises(ConfigError, match=f"distilled width >= 1, got {width}"):
+            run_regime(Regime(ENCODING_DISTILL), splits, SMALL_PROTOCOL,
+                       n_hidden=5, n_classes=5, table=table, distill_dim=width)
 
     def test_matching_softmax_requires_aligned_targets(self):
         rng = np.random.default_rng(11)

@@ -22,7 +22,7 @@ from embdistill.embeddings import (
 from embdistill.errors import ConfigError, DimensionError, FormatError, ParseError
 from embdistill.ops import glorot, one_hot
 
-from helpers import encode, lookup
+from helpers import encode, f32_blocks, lookup, vocabularies
 
 
 def random_table(rng, vocab_size=10, dim=4):
@@ -35,6 +35,12 @@ class TestVocabulary:
         v = Vocabulary.from_words(["a", "b"])
         assert v.words == ["a", "b", UNK_TOKEN]
         assert v.unk_index == 2
+
+    def test_from_index_keeps_the_dict(self):
+        index = {"b": 0, "a": 1}
+        v = Vocabulary.from_index(index)
+        assert v.index is index and v.words == ["b", "a", UNK_TOKEN] and v.unk_index == 2
+        assert Vocabulary.from_index({UNK_TOKEN: 0, "x": 1}).words == [UNK_TOKEN, "x"]
 
     def test_duplicate_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -420,6 +426,21 @@ class TestNativeTableFormat:
             load_table(path)
         path.write_bytes(b"EMB1" + struct.pack("<III", 1, 2, 2**32 - 1) + bytes(13))
         with pytest.raises(FormatError, match="truncated while reading token 0"):
+            load_table(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(vocab=vocabularies(), dim=st.integers(1, 6), data=st.data())
+    def test_roundtrip_and_truncation(self, tmp_path_factory, vocab, dim, data):
+        matrix = data.draw(f32_blocks((dim, len(vocab))))
+        path = tmp_path_factory.mktemp("emb") / "t.emb"
+        save_table(EmbeddingTable(vocab, matrix), path)
+        loaded = load_table(path)
+        assert loaded.vocab.words == vocab.words and np.array_equal(loaded.matrix, matrix)
+        blob = path.read_bytes()
+        save_table(loaded, path)
+        assert path.read_bytes() == blob
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")])
+        with pytest.raises(FormatError):
             load_table(path)
 
     def test_unicode_tokens_roundtrip(self, tmp_path):

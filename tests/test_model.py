@@ -36,7 +36,14 @@ from embdistill.model import (
 from embdistill.distillation import fold_model
 from embdistill.ops import dropout_mask, glorot, one_hot, softmax_t
 
-from helpers import check_model_gradients, dense_gradients, soft_target, tiny_model
+from helpers import (
+    check_model_gradients,
+    dense_gradients,
+    f32_blocks,
+    soft_target,
+    tiny_model,
+    vocabularies,
+)
 
 
 class TestModelConfig:
@@ -495,28 +502,32 @@ class TestSaveLoad:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        vocab_size=st.integers(1, 9),
+        vocab=vocabularies(),
         n_embed=st.integers(2, 7),
         n_hidden=st.integers(1, 5),
         n_classes=st.integers(1, 5),
         kind=st.sampled_from(["direct", "encoder", "folded"]),
         data=st.data(),
     )
-    def test_layout_roundtrip_and_truncation(self, tmp_path_factory, seed, vocab_size,
+    def test_layout_roundtrip_and_truncation(self, tmp_path_factory, seed, vocab,
                                               n_embed, n_hidden, n_classes, kind, data):
         n_distill = 0 if kind == "direct" else data.draw(st.integers(1, n_embed - 1))
-        model = tiny_model(np.random.default_rng(seed), vocab_size, n_embed, n_distill,
-                           n_hidden, n_classes)
+        model = tiny_model(np.random.default_rng(seed), n_embed=n_embed, n_distill=n_distill,
+                           n_hidden=n_hidden, n_classes=n_classes, vocab=vocab)
         if kind == "folded":
             model = fold_model(model)
         params = model.named_parameters()
-        assert parameter_shapes(model.config, vocab_size, model.embedding.dim,
+        assert parameter_shapes(model.config, len(vocab), model.embedding.dim,
                                 model.encoder is not None) == [(n, a.shape) for n, a in params]
+        for name, a in params:
+            a[...] = data.draw(f32_blocks(a.shape), label=name)
 
         path = tmp_path_factory.mktemp("layout") / "m.mdl"
         save_model(model, path)
-        for (name, a), (_, b) in zip(params, load_model(path).named_parameters()):
-            assert b.shape == a.shape and np.array_equal(b, a.astype(np.float32)), name
+        loaded = load_model(path)
+        assert loaded.embedding.vocab.words == vocab.words
+        for (name, a), (_, b) in zip(params, loaded.named_parameters()):
+            assert b.shape == a.shape and np.array_equal(b, a), name
 
         # the parameter blocks end the file, in layout order
         blob = path.read_bytes()

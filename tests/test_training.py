@@ -70,6 +70,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=1.0, decay_scheme="nope")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            TrainConfig(learning_rate=1.0, seed=-1)
+
+
+class TestTrainingProtocol:
+    @pytest.mark.parametrize("fields", [{"grid_seed": -1}, {"restart_seeds": (0, -2, 1)}])
+    def test_negative_seed_rejected(self, fields):
+        with pytest.raises(ConfigError, match="seeds must be >= 0, got -"):
+            TrainingProtocol(**fields)
+
 
 def tiny_factory(rng_seed=0, n_classes=5, vocab_size=21, n_embed=6, n_hidden=5):
     del rng_seed
@@ -289,6 +300,13 @@ class TestGridSearch:
         grid = grid_search(factory, splits, protocol)
         assert len(grid.entries) == 1
         assert grid.best_config.learning_rate == 0.5
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_training(self, jobs, monkeypatch):
+        factory, splits = tiny_factory()
+        monkeypatch.setattr("embdistill.training.train_trial", None)  # never reached
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            grid_search(factory, splits, TrainingProtocol(), jobs=jobs)
 
     def test_better_trained_configuration_wins(self):
         factory, splits = tiny_factory()
