@@ -108,9 +108,9 @@ def save_soft_targets(targets: SoftTargetSet, path) -> None:
 def load_soft_targets(path) -> SoftTargetSet:
     with ArtifactReader(path, _SFT_MAGIC, "soft-target cache") as reader:
         n, c, temperature = reader.unpack("<IIf", "header")
-        rows = reader.floats((n, c), "target rows")
-        # f32 rounding can push row sums slightly off 1; renormalize.
-        return SoftTargetSet(float(temperature), rows / rows.sum(axis=1, keepdims=True))
+        targets = SoftTargetSet(float(temperature), reader.floats((n, c), "target rows"))
+        targets.targets /= targets.targets.sum(axis=1, keepdims=True)  # undo f32 rounding
+        return targets
 
 
 def generate_soft_targets(

@@ -8,8 +8,8 @@ encoder; predictions are identical.
 
 Forward and backward passes work on a batch, a ``SampleSet`` or anything
 ``SampleSet.of`` takes.  ``forward`` also runs a single ``Sample``, with
-1-D outputs and without making its SampleSet: the path a deployed
-model's ``predict`` serves.  Backward needs a batch.
+1-D outputs and without making its SampleSet; a deployed model's
+``predict`` runs that path up to the logits.  Backward needs a batch.
 """
 
 from __future__ import annotations
@@ -276,20 +276,8 @@ def _segment_sums(
     return out
 
 
-def forward(
-    model: ClassifierModel,
-    samples,
-    temperature: float = 1.0,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-    dropout_rate: float | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Class distributions for a batch plus the cache for backward.
-
-    ``samples`` is a SampleSet or a sequence of samples (``y`` is
-    (samples, classes)) or one Sample (``y`` is 1-D).  Dropout (on the
-    hidden layer output) is active only in train mode.
-    """
+def _pool(model: ClassifierModel, samples) -> tuple:
+    """Mean pooling, lone or batched: the cache's samples, rows, encoded and pool."""
     lone = isinstance(samples, Sample)
     if not lone:
         samples = SampleSet.of(samples)
@@ -318,7 +306,11 @@ def forward(
     else:
         pool = _segment_sums(table, tokens, samples.starts, samples.lengths)
         pool /= samples.lengths[:, None]
+    return samples, rows, encoded, pool
 
+
+def _dense(model: ClassifierModel, pool, train_mode=False, rng=None, dropout_rate=None) -> tuple:
+    """Hidden and output layers: the cache's hidden_act, mask, hidden and logits."""
     hidden_act = tanh_forward(affine_forward(model.hidden_w, pool, model.hidden_b))
     rate = model.config.dropout_rate if dropout_rate is None else dropout_rate
     mask = None
@@ -327,13 +319,26 @@ def forward(
             raise ConfigError("dropout in train mode needs a random generator")
         mask = dropout_mask(hidden_act.shape, rate, rng)
     hidden = hidden_act * mask if mask is not None else hidden_act
+    return hidden_act, mask, hidden, affine_forward(model.out_w, hidden, model.out_b)
 
-    logits = affine_forward(model.out_w, hidden, model.out_b)
-    y = softmax_t(logits, temperature)
-    cache = ForwardCache(
-        samples, rows, encoded, pool, hidden_act, mask, hidden, logits, model.version
-    )
-    return y, cache
+
+def forward(
+    model: ClassifierModel,
+    samples,
+    temperature: float = 1.0,
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+    dropout_rate: float | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Class distributions for a batch plus the cache for backward.
+
+    ``samples`` is a SampleSet or a sequence of samples (``y`` is
+    (samples, classes)) or one Sample (``y`` is 1-D).  Dropout (on the
+    hidden layer output) is active only in train mode.
+    """
+    pooled = _pool(model, samples)
+    dense = _dense(model, pooled[3], train_mode, rng, dropout_rate)
+    return softmax_t(dense[3], temperature), ForwardCache(*pooled, *dense, model.version)
 
 
 def _sum_by_token(batch: SampleSet, per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,11 +414,16 @@ def class_distributions(
 
 
 def predict(model: ClassifierModel, samples):
-    """Argmax class of one Sample, or an array of them for a sequence."""
+    """Class with the largest logit for one Sample, or an array of them
+    for a sequence.  A lone Sample stops at its logits: no softmax, no
+    ForwardCache."""
     if isinstance(samples, Sample):
-        y, _ = forward(model, samples)
-        return int(y.argmax())
-    return np.argmax(class_distributions(model, samples), axis=1)
+        return int(_dense(model, _pool(model, samples)[3])[3].argmax())
+    out = np.empty(len(samples), dtype=np.intp)
+    for start in range(0, len(samples), EVAL_CHUNK):
+        logits = forward(model, samples[start : start + EVAL_CHUNK])[1].logits
+        out[start : start + len(logits)] = logits.argmax(axis=1)
+    return out
 
 
 def evaluate_accuracy(model: ClassifierModel, samples) -> float:

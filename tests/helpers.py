@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from embdistill.data import DatasetSplits, LabeledTree, Sample, SampleSet
 from embdistill.embeddings import EmbeddingTable, EncoderLayer, Vocabulary
 from embdistill.errors import DimensionError
-from embdistill.model import ClassifierModel, backward, forward
+from embdistill.model import ClassifierModel, ModelConfig, backward, forward
 from embdistill.ops import affine_forward, cross_entropy, tanh_forward
 
 FD_STEP = 1e-3
@@ -148,6 +148,40 @@ def tiny_model(
 def soft_target(rng: np.random.Generator, n: int) -> np.ndarray:
     t = rng.random(n) + 0.05
     return t / t.sum()
+
+
+@st.composite
+def _drawn_models(draw, encoder: bool):
+    """A model at a drawn size, its table word-major or not, its table and
+    output weights at a drawn scale so that some logits are large.  With
+    ``encoder``, an encoding model (an n_distill + 1 wide table); else a
+    direct model or a folded-shaped one (an n_distill-wide table and no
+    encoder)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab_size = draw(st.integers(2, 30))
+    dim = draw(st.integers(1, 12))
+    n_hidden = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(2, 6))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    vocab = Vocabulary.from_words([f"w{i}" for i in range(vocab_size - 1)])
+    matrix = rng.normal(scale=scale, size=(dim + 1 if encoder else dim, vocab_size))
+    if draw(st.booleans()):
+        matrix = np.asfortranarray(matrix)
+    if encoder or draw(st.booleans()):
+        config = ModelConfig(dim + 1, n_hidden, n_classes, n_distill=dim, regime="encoding")
+    else:
+        config = ModelConfig(dim, n_hidden, n_classes)
+    model = ClassifierModel.initialize(config, EmbeddingTable(vocab, matrix), rng)
+    model.out_w *= scale
+    return model
+
+
+def models_without_encoder():
+    return _drawn_models(False)
+
+
+def encoder_models():
+    return _drawn_models(True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -657,6 +658,21 @@ class TestErrorContract:
                        "--embed-dim", "4", "--soft-targets", bad, *FAST, "--out", out) == 3
         assert capsys.readouterr().err == (
             f"error: {bad}: soft target row 0 has value 1.5 outside [0, 1]\n")
+        assert not out.exists()
+
+    def test_soft_targets_with_an_all_zero_row_exit_3(self, toy_corpus, tmp_path, capsys):
+        data = prepare(toy_corpus, tmp_path / "data")
+        n = len((data / "train.samples").read_text().splitlines())
+        bad = tmp_path / "zero.sft"
+        bad.write_bytes(b"SFT1" + struct.pack("<IIf", n, 5, 2.0) + bytes(20 * n))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr
+            assert run_cli("train", "--data", data, "--regime", "matching-softmax",
+                           "--embed-dim", "4", "--soft-targets", bad, *FAST, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {bad}: soft target row 0 sums to 0.0, expected 1\n")
         assert not out.exists()
 
     def test_duplicate_vocab_line_exit_3(self, toy_corpus, tmp_path, capsys):

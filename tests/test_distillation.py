@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,16 @@ class TestSoftTargetSet:
         path.write_bytes(b"SFT1" + struct.pack("<IIf", 1, 2, 2.0) + struct.pack("<2f", 1.5, -0.5))
         with pytest.raises(FormatError, match=f"{path}: soft target row 0 has value 1.5"):
             load_soft_targets(path)
+
+    @pytest.mark.parametrize("row, total", [((0.0, 0.0), "0.0"), ((-1.0, 0.0), "-1.0"),
+                                            ((0.5, 1.5), "2.0")])
+    def test_cache_row_sums_are_checked_before_renormalizing(self, tmp_path, row, total):
+        path = tmp_path / "t.sft"
+        path.write_bytes(b"SFT1" + struct.pack("<IIf", 1, 2, 2.0) + struct.pack("<2f", *row))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=f"{path}: soft target row 0 sums to {total},"):
+                load_soft_targets(path)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(0, 6), n_classes=st.integers(1, 5),

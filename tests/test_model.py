@@ -39,7 +39,9 @@ from embdistill.ops import dropout_mask, glorot, one_hot, softmax_t
 from helpers import (
     check_model_gradients,
     dense_gradients,
+    encoder_models,
     f32_blocks,
+    models_without_encoder,
     soft_target,
     tiny_model,
     vocabularies,
@@ -277,30 +279,6 @@ class TestBatchEngine:
             assert labels[i] == predict(model, samples[i])
 
 
-@st.composite
-def models_without_encoder(draw):
-    """A direct model or a folded-shaped one (an n_distill-wide table and
-    no encoder), its table word-major or not, its table and output weights
-    at a drawn scale so that some logits are large."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vocab_size = draw(st.integers(2, 30))
-    dim = draw(st.integers(1, 12))
-    n_hidden = draw(st.integers(1, 8))
-    n_classes = draw(st.integers(2, 6))
-    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
-    vocab = Vocabulary.from_words([f"w{i}" for i in range(vocab_size - 1)])
-    matrix = rng.normal(scale=scale, size=(dim, vocab_size))
-    if draw(st.booleans()):
-        matrix = np.asfortranarray(matrix)
-    if draw(st.booleans()):
-        config = ModelConfig(dim + 1, n_hidden, n_classes, n_distill=dim, regime="encoding")
-    else:
-        config = ModelConfig(dim, n_hidden, n_classes)
-    model = ClassifierModel.initialize(config, EmbeddingTable(vocab, matrix), rng)
-    model.out_w *= scale
-    return model
-
-
 class TestLoneSample:
     """A lone Sample on a model without an encoder runs its own short
     forward path; it must give the bits of its row in any batch."""
@@ -316,11 +294,13 @@ class TestLoneSample:
         ))
         samples = SampleSet.of([Sample(np.array(t), 0) for t in token_lists])
         rows = class_distributions(model, samples)
+        logits = forward(model, samples)[1].logits
         for i in range(len(samples)):
             y, _ = forward(model, samples[i])
             assert y.shape == rows[i].shape
             assert np.array_equal(y, rows[i])
             assert predict(model, samples[i]) == int(rows[i].argmax())
+            assert predict(model, samples[i]) == int(logits[i].argmax())
 
     def test_one_column_table_adds_rows_in_order(self):
         # numpy sums a one-column block pairwise; a batch adds row by row
@@ -344,6 +324,20 @@ class TestLoneSample:
         monkeypatch.setattr(SampleSet, "of", classmethod(refuse))
         assert [predict(direct, sample), predict(folded, sample)] == expected
 
+    def test_predict_runs_no_softmax_and_builds_no_forward_cache(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        encoder = tiny_model(rng, n_distill=3)
+        models = [tiny_model(rng), fold_model(encoder), encoder]
+        sample = Sample(np.array([0, 3, 3, 1]), 0)
+        expected = [predict(m, sample) for m in models]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("softmax_t or ForwardCache called")
+
+        monkeypatch.setattr("embdistill.model.softmax_t", refuse)
+        monkeypatch.setattr("embdistill.model.ForwardCache", refuse)
+        assert [predict(m, sample) for m in models] == expected
+
     def test_backward_refuses_a_lone_sample_cache(self):
         model = tiny_model(np.random.default_rng(41))
         sample = Sample(np.array([2, 0]), 1)
@@ -354,6 +348,18 @@ class TestLoneSample:
         samples = SampleSet.of(mixed_batch())
         _, cache = forward(model, samples)
         assert cache.batch is samples
+
+
+class TestLargestLogit:
+    def test_predict_picks_the_largest_logit_where_probabilities_tie(self):
+        # the logits differ by 5e-324, so the softmax rounds all five to 0.2
+        model = zero_model(n_classes=5)
+        model.out_b[:] = [0.0, 5e-324, 0.0, 0.0, 0.0]
+        samples = [Sample(np.array([0, 1]), 1), Sample(np.array([2]), 1)]
+        assert np.all(class_distributions(model, samples) == 0.2)
+        assert [predict(model, s) for s in samples] == [1, 1]
+        assert predict(model, samples).tolist() == [1, 1]
+        assert evaluate_accuracy(model, samples) == 1.0
 
 
 class TestWordMajorLayout:
@@ -391,6 +397,32 @@ class TestFoldEquivalence:
             _, fold_cache = forward(folded, sample)
             assert np.max(np.abs(live_cache.logits - fold_cache.logits)) < 1e-5
             assert predict(model, sample) == predict(folded, sample)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_folded_logits_match_the_encoder_model(self, data):
+        model = data.draw(encoder_models())
+        folded = fold_model(model)
+        token_lists = data.draw(st.lists(
+            st.lists(st.integers(0, len(model.embedding.vocab) - 1), min_size=1, max_size=45),
+            min_size=1, max_size=12,
+        ))
+        samples = SampleSet.of([Sample(np.array(t), 0) for t in token_lists])
+
+        def centred_logits(m, s):
+            z = forward(m, s)[1].logits
+            return z - z.mean(axis=-1, keepdims=True)
+
+        live = centred_logits(model, samples)
+        assert np.max(np.abs(live - centred_logits(folded, samples))) < 1e-9
+        top_two = np.sort(live, axis=1)[:, -2:]
+        clear = top_two[:, 1] - top_two[:, 0] > 1e-9
+        assert np.array_equal(predict(model, samples)[clear], predict(folded, samples)[clear])
+        for i in range(len(samples)):
+            alone = centred_logits(model, samples[i])
+            assert np.max(np.abs(alone - centred_logits(folded, samples[i]))) < 1e-9
+            if clear[i]:
+                assert predict(model, samples[i]) == predict(folded, samples[i])
 
     def test_fold_requires_encoder(self):
         rng = np.random.default_rng(13)
