@@ -168,12 +168,15 @@ def _dump_json(payload: dict, path) -> None:
 # ---------------------------------------------------------------------------
 # prepared-dataset cache
 
-def _write_samples(path, samples: SampleSet) -> None:
-    ids = list(map(str, samples.tokens.tolist()))
+def _write_samples(path, samples: SampleSet, id_text: np.ndarray) -> None:
+    """One ``label<TAB>id id …`` line per sample, written in one call;
+    ``id_text[i]`` is ``str(i)``, made once for every file of a vocabulary."""
+    ids = id_text[samples.tokens].tolist()
+    text = "".join([f"{label}\t{' '.join(ids[start:start + length])}\n" for label, start, length
+                    in zip(samples.labels.tolist(), samples.starts.tolist(),
+                           samples.lengths.tolist())])
     with atomic_write(path, "w") as fh:
-        for label, start, length in zip(samples.labels.tolist(), samples.starts.tolist(),
-                                        samples.lengths.tolist()):
-            fh.write(f"{label}\t{' '.join(ids[start:start + length])}\n")
+        fh.write(text)
 
 
 def _read_samples(path, vocab_size: int) -> SampleSet:
@@ -274,11 +277,12 @@ def cmd_prepare(opts) -> int:
     out = _out_dir(opts)
     with atomic_write(os.path.join(out, "vocab.txt"), "w") as fh:
         fh.write("\n".join(splits.vocab.words) + "\n")
+    id_text = np.array(list(map(str, range(len(splits.vocab)))), dtype=object)
     _write_samples(os.path.join(out, "train.samples"),
-                   splits.train if mode == ALL_PHRASES else sentences)
-    _write_samples(os.path.join(out, _SENTENCE_TRAIN), sentences)
-    _write_samples(os.path.join(out, "valid.samples"), splits.valid)
-    _write_samples(os.path.join(out, "test.samples"), splits.test)
+                   splits.train if mode == ALL_PHRASES else sentences, id_text)
+    _write_samples(os.path.join(out, _SENTENCE_TRAIN), sentences, id_text)
+    _write_samples(os.path.join(out, "valid.samples"), splits.valid, id_text)
+    _write_samples(os.path.join(out, "test.samples"), splits.test, id_text)
     _dump_json(
         {
             "mode": mode,

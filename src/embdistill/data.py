@@ -8,8 +8,11 @@ enrichment); validation and test always use whole sentences only.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +26,7 @@ ALL_PHRASES = "all_phrases"
 _MODES = (SENTENCE_ONLY, ALL_PHRASES)
 
 
-@dataclass
+@dataclass(slots=True)
 class LabeledTree:
     label: int
     children: tuple["LabeledTree", ...] = ()
@@ -71,7 +74,8 @@ class SampleSet:
     in four intp arrays.
 
     Sample i is ``Sample(tokens[starts[i]:][:lengths[i]], labels[i])``;
-    ``set[slice]`` or ``set[index array]`` gathers a new SampleSet.
+    ``set[slice]`` or ``set[index array]`` gathers a new SampleSet laid
+    end to end, also from a set whose samples overlap.
     """
 
     tokens: np.ndarray
@@ -121,71 +125,70 @@ class DatasetSplits:
         self.test = SampleSet.of(self.test)
 
 
-_SPACES = re.compile(r"[ \t]*")
-_WORD = re.compile(r"[^ \t()]*")  # a label or a token
+_TOKENS = re.compile(r"[()]|[^ \t()]+")  # a parenthesis, a label or a token
+_LABELS = {str(label): label for label in range(N_CLASSES)}
 
 
 def parse_tree(line: str) -> LabeledTree:
     """Parse one s-expression tree.
 
     Grammar: tree = "(" label (token | tree+) ")" with integer labels in
-    0..4 and tokens free of whitespace and parentheses.  Errors report
-    the byte offset of the offending position.  Nodes are parsed in a
-    loop, not by recursion, so nesting depth is not bounded by the stack.
+    0..4 and tokens free of parentheses, spaces and tabs, which separate
+    them.  Errors report the byte offset of the offending position.  The
+    line is split into tokens once and nodes are built in a loop, not by
+    recursion, so nesting depth is not bounded by the stack.
     """
-    n = len(line)
+    toks = _TOKENS.findall(line)
+    toks.append("")  # the end of the line
 
-    def fail(msg: str, at: int):
+    def fail(msg: str, i: int):
+        # token i's character offset; the end of the line has no match
+        at = next(islice(_TOKENS.finditer(line), i, None), None)
+        at = len(line) if at is None else at.start()
         raise ParseError(f"byte {len(line[:at].encode('utf-8'))}: {msg}")
 
-    def close(pos: int) -> int:
-        pos = _SPACES.match(line, pos).end()
-        if pos >= n or line[pos] != ")":
-            fail("unbalanced parentheses (expected ')')", pos)
-        return pos + 1
-
     opened: list[tuple[int, list]] = []  # label and children of each open node
-    pos = _SPACES.match(line).end()
+    i = 0
     while True:
-        if pos >= n or line[pos] != "(":
-            fail("expected '('", pos)
-        start = _SPACES.match(line, pos + 1).end()
-        pos = _WORD.match(line, start).end()
-        label_text = line[start:pos]
-        if not label_text:
-            fail("missing label", start)
-        try:
-            label = int(label_text)
-        except ValueError:
-            fail(f"non-integer label {label_text!r}", start)
-        if not 0 <= label < N_CLASSES:
-            fail(f"label {label} outside 0..{N_CLASSES - 1}", start)
-        pos = _SPACES.match(line, pos).end()
-        if pos >= n:
-            fail("unbalanced parentheses (unexpected end of line)", pos)
-        if line[pos] == "(":
+        if toks[i] != "(":
+            fail("expected '('", i)
+        i += 1
+        label = _LABELS.get(toks[i])
+        if label is None:  # not a plain digit: int() decides
+            label_text = toks[i]
+            if label_text in ("(", ")", ""):
+                fail("missing label", i)
+            try:
+                label = int(label_text)
+            except ValueError:
+                fail(f"non-integer label {label_text!r}", i)
+            if not 0 <= label < N_CLASSES:
+                fail(f"label {label} outside 0..{N_CLASSES - 1}", i)
+        i += 1
+        tok = toks[i]
+        if tok == "(":
             opened.append((label, []))
             continue
-        if line[pos] == ")":
-            fail("empty node (no token or children)", pos)
-        start, pos = pos, _WORD.match(line, pos).end()
-        tree = LabeledTree(label, (), line[start:pos])
-        pos = close(pos)
-        # attach the finished node; close each parent it completes
-        while opened:
+        if tok == ")":
+            fail("empty node (no token or children)", i)
+        if not tok:
+            fail("unbalanced parentheses (unexpected end of line)", i)
+        tree = LabeledTree(label, (), tok)
+        i += 1
+        # close the finished node, then each parent it completes
+        while True:
+            if toks[i] != ")":
+                fail("unbalanced parentheses (expected ')')", i)
+            i += 1
+            if not opened:
+                if toks[i]:
+                    fail("trailing text after tree", i)
+                return tree
             opened[-1][1].append(tree)
-            pos = _SPACES.match(line, pos).end()
-            if pos < n and line[pos] == "(":
+            if toks[i] == "(":
                 break
-            pos = close(pos)
             label, children = opened.pop()
             tree = LabeledTree(label, tuple(children))
-        else:
-            break
-    pos = _SPACES.match(line, pos).end()
-    if pos != n:
-        fail("trailing text after tree", pos)
-    return tree
 
 
 def read_tree_file(path) -> list[LabeledTree]:
@@ -216,6 +219,16 @@ def build_vocab(train_trees, lowercase: bool = False) -> Vocabulary:
     return Vocabulary.from_index(index)
 
 
+def _ids_and_spans(tree: LabeledTree, vocab: Vocabulary, lowercase: bool):
+    """The tree's leaf token ids, left to right, and each node's ``[label,
+    start, end]`` in preorder: one walk, each token looked up once."""
+    tokens, spans = tree.walk()
+    if lowercase:
+        tokens = [t.lower() for t in tokens]
+    index, unk = vocab.index, vocab.unk_index
+    return [index.get(t, unk) for t in tokens], spans
+
+
 def extract_samples(
     tree: LabeledTree, mode: str, vocab: Vocabulary, lowercase: bool = False
 ) -> list[Sample]:
@@ -224,16 +237,42 @@ def extract_samples(
     ``sentence_only`` yields a single sample (root label over the leaf
     tokens); ``all_phrases`` yields one sample per node, preorder,
     keeping duplicates, so the first is the sentence.  Out-of-vocabulary
-    tokens map to UNK.  The tree is walked once and each token looked up
-    once: every sample is a slice of the tree's one id array.
+    tokens map to UNK.  Every sample is a slice of the tree's one id
+    array.
     """
-    if mode not in _MODES:
-        raise ConfigError(f"unknown sample mode {mode!r}, expected one of {_MODES}")
-    tokens, spans = tree.walk()
-    ids = np.array([vocab.to_index(t.lower() if lowercase else t) for t in tokens], np.intp)
+    _check_mode(mode)
+    ids, spans = _ids_and_spans(tree, vocab, lowercase)
+    ids = np.array(ids, np.intp)
     if mode == SENTENCE_ONLY:
         spans = spans[:1]
     return [Sample(ids[start:end], label) for label, start, end in spans]
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ConfigError(f"unknown sample mode {mode!r}, expected one of {_MODES}")
+
+
+def _phrases(trees, vocab: Vocabulary, lowercase: bool) -> tuple[SampleSet, np.ndarray]:
+    """Every node of ``trees`` as a sample, in preorder, tree after tree,
+    and each tree's root's index.  The set's tokens are the trees' ids
+    laid end to end and each sample is a span of them, so samples
+    overlap: indexing the set gathers a packed one."""
+    ids, spans, offsets, counts = [], [], [], []
+    for tree in trees:
+        tree_ids, tree_spans = _ids_and_spans(tree, vocab, lowercase)
+        offsets.append(len(ids))
+        counts.append(len(tree_spans))
+        ids += tree_ids
+        spans += tree_spans
+    labels, starts, ends = np.array(spans, np.intp).reshape(-1, 3).T
+    lengths = ends - starts
+    # each tree's spans index its own ids: shift them into the concatenation
+    counts = np.array(counts, np.intp)
+    starts = starts + np.repeat(np.array(offsets, np.intp), counts)
+    # copied labels are contiguous, like a gathered set's
+    phrases = SampleSet(np.array(ids, np.intp), starts, lengths, labels.copy())
+    return phrases, np.cumsum(counts) - counts
 
 
 def read_splits(
@@ -245,20 +284,36 @@ def read_splits(
     vocab: Vocabulary | None = None,
 ) -> tuple[DatasetSplits, SampleSet]:
     """Read three tree files once: the splits, the training set in the
-    requested phrase mode, and the training sentences, each its tree's
-    first sample, the root.  Validation and test are always sentences.
-    The vocabulary is built from the training trees unless supplied."""
-    train_trees = read_tree_file(train_path)
-    valid_trees = read_tree_file(valid_path)
-    test_trees = read_tree_file(test_path)
-    if vocab is None:
-        vocab = build_vocab(train_trees, lowercase)
-    per_tree = [extract_samples(t, mode, vocab, lowercase) for t in train_trees]
-    train = [s for samples in per_tree for s in samples]
-    valid = [extract_samples(t, SENTENCE_ONLY, vocab, lowercase)[0] for t in valid_trees]
-    test = [extract_samples(t, SENTENCE_ONLY, vocab, lowercase)[0] for t in test_trees]
-    sentences = SampleSet.of([samples[0] for samples in per_tree])
+    requested phrase mode, and the training sentences, the training set
+    gathered at each tree's root.  Validation and test are always
+    sentences.  The vocabulary is built from the training trees unless
+    supplied; a supplied one is only looked up."""
+    _check_mode(mode)
+    with _gc_paused():
+        train_trees = read_tree_file(train_path)
+        valid_trees = read_tree_file(valid_path)
+        test_trees = read_tree_file(test_path)
+        if vocab is None:
+            vocab = build_vocab(train_trees, lowercase)
+        phrases, roots = _phrases(train_trees, vocab, lowercase)
+        valid, test = (p[r] for p, r in (_phrases(valid_trees, vocab, lowercase),
+                                         _phrases(test_trees, vocab, lowercase)))
+    sentences = phrases[roots]
+    train = phrases[:] if mode == ALL_PHRASES else sentences
     return DatasetSplits(train, valid, test, vocab), sentences
+
+
+@contextmanager
+def _gc_paused():
+    """Trees, walks and spans hold no reference cycles, so the cyclic
+    collector would scan the many objects they make and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_splits(

@@ -208,9 +208,10 @@ def train_trial(
     """Train one configuration to its early-stopping point.
 
     Keeps the parameters of the best-validation epoch and returns the
-    model restored to them, so a later ``eval`` reproduces the reported
-    test accuracy.  The optional log gets one tab-separated line per
-    epoch: epoch, train_loss, valid_acc, lr, seconds.
+    model restored to them; the test split is evaluated once, on the
+    restored model, so a later ``eval`` reproduces the reported
+    accuracy.  The optional log gets one tab-separated line per epoch:
+    epoch, train_loss, valid_acc, lr, seconds.
     """
     model = factory.build(cfg.seed, cfg.dropout_rate)
     train_rng = np.random.default_rng([cfg.seed, 1])
@@ -221,7 +222,6 @@ def train_trial(
     best_epoch = -1
     best_valid = -1.0
     best_state = None
-    test_at_best = 0.0
     log_lines = []
 
     for epoch in range(cfg.max_epochs):
@@ -237,7 +237,6 @@ def train_trial(
             best_valid = valid_acc
             best_epoch = epoch
             best_state = model.snapshot()
-            test_at_best = evaluate_accuracy(model, splits.test)
         log_lines.append(
             f"{epoch}\t{loss:.6f}\t{valid_acc:.6f}\t{lr:.6g}"
             f"\t{time.perf_counter() - epoch_start:.3f}"
@@ -256,6 +255,7 @@ def train_trial(
                 f"parameter {name} is not finite or exceeds the float32 range "
                 f"(lr={cfg.learning_rate})"
             )
+    test_accuracy = evaluate_accuracy(model, splits.test)
     seconds = time.perf_counter() - started
     if log_path is not None:
         with atomic_write(log_path, "w") as fh:
@@ -265,7 +265,7 @@ def train_trial(
         train_losses=train_losses,
         valid_accuracies=valid_accs,
         best_epoch=best_epoch,
-        test_accuracy=test_at_best,
+        test_accuracy=test_accuracy,
         final_train_accuracy=final_train_acc,
         seconds=seconds,
         seed=cfg.seed,

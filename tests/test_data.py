@@ -1,10 +1,14 @@
+import gc
+import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embdistill import data
 from embdistill.data import (
     ALL_PHRASES,
     DatasetSplits,
@@ -73,6 +77,31 @@ class TestParseTree:
             parse_tree(line)
         reported = int(str(err.value).split("byte ")[1].split(":")[0])
         assert reported == line.encode("utf-8").index(b"9")
+
+    # every error kind with its whole message; "été" is 5 bytes in 3
+    # characters, so a character offset past it would read 2 short
+    @pytest.mark.parametrize("line, message", [
+        ("", "byte 0: expected '('"),
+        (" \t", "byte 2: expected '('"),
+        ("été (1 a)", "byte 0: expected '('"),
+        ("(3 (2 été)\t( (1 b)))", "byte 15: missing label"),
+        ("(+3 (2 été)\t(x b))", "byte 15: non-integer label 'x'"),
+        ("(3 (2 été) (+7 b))", "byte 14: label 7 outside 0..4"),
+        ("(3 (2 été) (-1 b))", "byte 14: label -1 outside 0..4"),
+        ("(3 (2 été) (1", "byte 15: unbalanced parentheses (unexpected end of line)"),
+        ("(3 (2 été) (1\t)", "byte 16: empty node (no token or children)"),
+        ("(3 (2 été b))", "byte 12: unbalanced parentheses (expected ')')"),
+        ("(3 (2 été) (1 b)", "byte 18: unbalanced parentheses (expected ')')"),
+        ("(3 (2 été) (1 b))\t(2 c)", "byte 20: trailing text after tree"),
+    ])
+    def test_error_message_names_the_offending_byte(self, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_tree(line)
+        assert str(err.value) == message
+
+    def test_tabs_separate_and_int_reads_the_label(self):
+        tree = parse_tree("(+3\t(2 été)\t(04 b))")
+        assert tree == LabeledTree(3, (LabeledTree(2, (), "été"), LabeledTree(4, (), "b")))
 
     def test_multiway_node(self):
         tree = parse_tree("(2 (0 a) (1 b) (4 c))")
@@ -244,6 +273,61 @@ class TestLoadSplits:
         self._write(path, ["(1 X)"])
         with pytest.raises(ConfigError, match="unknown sample mode"):
             load_splits(path, path, path, "phrases")
+
+    def test_builds_no_per_phrase_sample(self, tmp_path, monkeypatch):
+        paths = [tmp_path / f"{name}.txt" for name in ("train", "valid", "test")]
+        self._write(paths[0], ["(3 (2 A) (4 (1 B) (0 c)))", "(1 X)"])
+        self._write(paths[1], ["(3 (2 A) (4 Z))"])
+        self._write(paths[2], ["(0 X)"])
+
+        def refuse(*args):
+            raise AssertionError("a per-phrase Sample was built")
+
+        monkeypatch.setattr(data, "Sample", refuse)
+        splits, sentences = read_splits(*paths, ALL_PHRASES)
+        assert splits.train.lengths.tolist() == [3, 1, 2, 1, 1, 1]
+        assert sentences.labels.tolist() == [3, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(labeled_trees, max_size=4), st.lists(labeled_trees, max_size=3),
+           st.lists(labeled_trees, max_size=3), st.booleans(), st.booleans())
+    def test_equals_extraction_tree_by_tree(self, train, valid, test, lowercase, supplied):
+        vocab = build_vocab(valid, lowercase) if supplied else None
+        index = dict(vocab.index) if supplied else None
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("train", "valid", "test")]
+            for path, trees in zip(paths, (train, valid, test)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.writelines(serialize_tree(t) + "\n" for t in trees)
+            expected_vocab = vocab or build_vocab(train, lowercase)
+
+            def expected(trees, mode):
+                return SampleSet.of([s for t in trees
+                                     for s in extract_samples(t, mode, expected_vocab, lowercase)])
+
+            for mode in (ALL_PHRASES, SENTENCE_ONLY):
+                splits, sentences = read_splits(*paths, mode, lowercase, vocab)
+                assert splits.vocab.words == expected_vocab.words
+                assert_same_set(splits.train, expected(train, mode))
+                assert_same_set(sentences, expected(train, SENTENCE_ONLY))
+                assert_same_set(splits.valid, expected(valid, SENTENCE_ONLY))
+                assert_same_set(splits.test, expected(test, SENTENCE_ONLY))
+        if supplied:  # only looked up, never extended
+            assert vocab.index == index and vocab.words == list(index)
+
+    def test_collector_state_is_restored(self, tmp_path):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        self._write(good, ["(1 X)"])
+        self._write(bad, ["(1 X"])
+        with pytest.raises(ParseError):
+            read_splits(good, bad, good)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            read_splits(good, good, good)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_windows_line_endings(self, tmp_path):
         unix = tmp_path / "unix.txt"

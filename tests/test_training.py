@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from embdistill import training
 from embdistill.data import DatasetSplits, Sample
 from embdistill.distillation import MatchingSoftmaxObjective, SoftTargetSet
 from embdistill.embeddings import init_random_table
@@ -256,6 +257,22 @@ class TestTrainTrial:
         model, result = train_trial(factory, splits, cfg)
         assert evaluate_accuracy(model, splits.test) == result.test_accuracy
         assert evaluate_accuracy(model, splits.valid) == result.best_valid_accuracy
+
+    def test_test_split_is_evaluated_once_per_trial(self, monkeypatch):
+        factory, splits = tiny_factory()
+        cfg = TrainConfig(learning_rate=0.5, max_epochs=6, batch_size=16, seed=2)
+        tested = []
+
+        def counting(model, samples):
+            tested.append(samples is splits.test)
+            return evaluate_accuracy(model, samples)
+
+        monkeypatch.setattr(training, "evaluate_accuracy", counting)
+        _, result = train_trial(factory, splits, cfg)
+        accs = result.valid_accuracies
+        improvements = sum(acc > max(accs[:i], default=-1.0) for i, acc in enumerate(accs))
+        assert improvements >= 2  # a per-improvement evaluation would show
+        assert sum(tested) == 1
 
     def test_early_stopping_respects_patience(self):
         factory, splits = tiny_factory()
