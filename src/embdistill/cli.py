@@ -414,6 +414,9 @@ def cmd_train(opts) -> int:
     embed_dim = opts.get("embed_dim")
     if embed_dim is not None and "embeddings" in opts:
         raise ConfigError("--embed-dim: the --embeddings file sets the vector width")
+    if embed_dim is not None and not opts["init_scale"] > 0:
+        raise ConfigError(f"--init-scale: must be > 0 for random vectors, "
+                          f"got {opts['init_scale']}")
     splits = _load_prepared(opts["data"], opts["sentences_only"])
     table = _task_table(opts, splits.vocab)
     soft_targets = None if regime.tag == DIRECT_SMALL else load_soft_targets(opts["soft_targets"])
@@ -428,6 +431,9 @@ def cmd_distill(opts) -> int:
     table = _task_table(opts, splits.vocab)
     if table is None:
         raise ConfigError("distill needs --embeddings with the large pretrained table")
+    if opts["distill_dim"] >= table.dim:
+        raise ConfigError(f"--distill-dim: {opts['distill_dim']} must be smaller than "
+                          f"the vector width {table.dim}")
     return _run_and_save_regime(opts, Regime(ENCODING_DISTILL), splits, table=table,
                                 distill_dim=opts["distill_dim"])
 
@@ -455,9 +461,6 @@ def cmd_teacher(opts) -> int:
     payload["toolkit_version"] = __version__
     payload["parameters"] = count_parameters(model)
     _dump_json(payload, os.path.join(out, "teacher_result.json"))
-    with atomic_write(os.path.join(out, "teacher.log"), "w") as fh:
-        for epoch, (loss, acc) in enumerate(zip(result.train_losses, result.valid_accuracies)):
-            fh.write(f"{epoch}\t{loss:.6f}\t{acc:.6f}\n")
     print(f"teacher validation accuracy: {100 * result.best_valid_accuracy:.1f}")
     print(f"teacher test accuracy: {100 * result.test_accuracy:.1f}")
     print(f"teacher parameters: {count_parameters(model)}")
@@ -487,15 +490,20 @@ def cmd_fold(opts) -> int:
     return 0
 
 
-def cmd_eval(opts) -> int:
-    model = load_model(opts["model"])
-    data_dir = opts["data"]
+def _split_file(opts) -> str:
+    """The prepared file of ``--split``; checked before any file is read."""
     split = opts["split"]
     if split not in _SPLIT_FILES:
         raise ConfigError(f"unknown split {split!r}, expected one of {sorted(_SPLIT_FILES)}")
-    samples = _prepared_split(data_dir, _SPLIT_FILES[split], model)
+    return _SPLIT_FILES[split]
+
+
+def cmd_eval(opts) -> int:
+    split_file = _split_file(opts)
+    model = load_model(opts["model"])
+    samples = _prepared_split(opts["data"], split_file, model)
     acc = evaluate_accuracy(model, samples)
-    print(f"{split} accuracy: {acc:.6f} ({len(samples)} samples)")
+    print(f"{opts['split']} accuracy: {acc:.6f} ({len(samples)} samples)")
     return 0
 
 
@@ -541,16 +549,11 @@ def _fastest_seconds(sweep, large, small, samples, reps: int) -> tuple[float, fl
 
 
 def cmd_bench(opts) -> int:
+    split_file = _split_file(opts)
     reps = opts["reps"]
-    if reps < 3:
-        raise ConfigError(f"bench needs reps >= 3, got {reps}")
-    data_dir = opts["data"]
-    split = opts["split"]
-    if split not in _SPLIT_FILES:
-        raise ConfigError(f"unknown split {split!r}")
     large = load_model(opts["large"])
     small = load_model(opts["small"])
-    samples = _prepared_split(data_dir, _SPLIT_FILES[split], large, small)
+    samples = _prepared_split(opts["data"], split_file, large, small)
     # per-sample predict is what a deployed model serves (its Samples
     # are built once, outside the timing); a batched evaluate_accuracy
     # sweep shows the layer math without most of the per-call
@@ -641,19 +644,19 @@ def _commands() -> dict:
     init_scale = _Option(float, 0.1, "scale of random vectors for words the table lacks")
     temperature = _Option(float, DEFAULT_TEMPERATURE, "softmax temperature")
     sentences_only = _Option(bool, False, "train on whole sentences, not every phrase")
-    classes = _Option(int, 5, "number of classes")
+    classes = _Option(int, 5, "number of classes", least=1)
     split = _Option(str, "test", "train, valid or test (default)")
     regime_options = {
         "data": data,
         "lr": _Option([float], grid.learning_rates, "comma-separated learning-rate grid"),
         "decay": _Option([str], grid.decay_schemes, "comma-separated decay schemes"),
         "dropout": _Option([float], grid.dropout_rates, "comma-separated dropout grid"),
-        "batch_size": _Option(int, grid.batch_size),
-        "epochs": _Option(int, grid.max_epochs),
-        "patience": _Option(int, grid.patience),
+        "batch_size": _Option(int, grid.batch_size, least=1),
+        "epochs": _Option(int, grid.max_epochs, least=1),
+        "patience": _Option(int, grid.patience, least=1),
         "grid_seed": _Option(int, grid.grid_seed, least=0),
         "seeds": _Option([int], grid.restart_seeds, "comma-separated restart seeds", least=0),
-        "hidden": _Option(int, 50, "hidden layer width"),
+        "hidden": _Option(int, 50, "hidden layer width", least=1),
         "classes": classes, "init_scale": init_scale, "sentences_only": sentences_only,
         "seed": seed, "jobs": _Option(int, 1, "max concurrent grid lanes", least=1),
         "out": out,
@@ -670,9 +673,10 @@ def _commands() -> dict:
             "lr": _Option(float, trial.learning_rate, "learning rate"),
             "decay": _Option(str, trial.decay_scheme, "decay scheme"),
             "dropout": _Option(float, trial.dropout_rate, "dropout rate"),
-            "batch_size": _Option(int, trial.batch_size), "epochs": _Option(int, trial.max_epochs),
-            "patience": _Option(int, trial.patience),
-            "hidden": _Option(int, 200, "hidden layer width"),
+            "batch_size": _Option(int, trial.batch_size, least=1),
+            "epochs": _Option(int, trial.max_epochs, least=1),
+            "patience": _Option(int, trial.patience, least=1),
+            "hidden": _Option(int, 200, "hidden layer width", least=1),
             "classes": classes, "seed": seed, "out": out,
         }),
         "soft-targets": (cmd_soft_targets, "cache teacher distributions for training", {
@@ -682,7 +686,7 @@ def _commands() -> dict:
         "train": (cmd_train, "run a small-model regime (direct or matching-softmax)", {
             "regime": _Option(str, "direct", "direct (default) or matching-softmax"),
             "embeddings": _Option(str, help="small pretrained vectors"),
-            "embed_dim": _Option(int, help="random-vector width when no file"),
+            "embed_dim": _Option(int, help="random-vector width when no file", least=1),
             "soft_targets": _Option(str, help="cache from the soft-targets command"),
             "temperature": _Option(float, help="matching-softmax temperature (default 2)"),
             **regime_options,
@@ -700,7 +704,7 @@ def _commands() -> dict:
         }),
         "bench": (cmd_bench, "relative inference time of two saved models", {
             "large": _Option(str), "small": _Option(str), "data": data, "split": split,
-            "reps": _Option(int, 5),
+            "reps": _Option(int, 5, least=3),
             "out": _Option(str, help="output JSON file"),
         }),
         "compare": (cmd_compare, "emit the regime comparison report", {

@@ -151,11 +151,8 @@ class MatchingSoftmaxObjective:
 
     soft_targets: SoftTargetSet
 
-    def __call__(self, model, samples, indices, rng, dropout_rate):
-        y1, cache = forward(
-            model, samples, temperature=1.0, train_mode=True, rng=rng,
-            dropout_rate=dropout_rate,
-        )
+    def __call__(self, model, samples, indices, rng):
+        y1, cache = forward(model, samples, temperature=1.0, rng=rng)
         temp = self.soft_targets.temperature
         y_temp = softmax_t(cache.logits, temp)
         targets = one_hot(cache.batch.labels, model.config.n_classes)
@@ -188,7 +185,6 @@ def train_teacher(
         n_embed=table.dim,
         n_hidden=n_hidden,
         n_classes=n_classes,
-        dropout_rate=train_config.dropout_rate,
         regime=REGIME_DIRECT,
     )
     factory = ModelFactory(config, table=table)

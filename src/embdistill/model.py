@@ -309,16 +309,15 @@ def _pool(model: ClassifierModel, samples) -> tuple:
     return samples, rows, encoded, pool
 
 
-def _dense(model: ClassifierModel, pool, train_mode=False, rng=None, dropout_rate=None) -> tuple:
-    """Hidden and output layers: the cache's hidden_act, mask, hidden and logits."""
+def _dense(model: ClassifierModel, pool, rng=None) -> tuple:
+    """Hidden and output layers: the cache's hidden_act, mask, hidden and
+    logits.  Dropout at ``model.config.dropout_rate`` runs exactly when a
+    generator is given."""
     hidden_act = tanh_forward(affine_forward(model.hidden_w, pool, model.hidden_b))
-    rate = model.config.dropout_rate if dropout_rate is None else dropout_rate
-    mask = None
-    if train_mode and rate > 0.0:
-        if rng is None:
-            raise ConfigError("dropout in train mode needs a random generator")
-        mask = dropout_mask(hidden_act.shape, rate, rng)
-    hidden = hidden_act * mask if mask is not None else hidden_act
+    hidden, mask = hidden_act, None
+    if rng is not None and model.config.dropout_rate > 0.0:
+        mask = dropout_mask(hidden_act.shape, model.config.dropout_rate, rng)
+        hidden = hidden_act * mask
     return hidden_act, mask, hidden, affine_forward(model.out_w, hidden, model.out_b)
 
 
@@ -326,18 +325,17 @@ def forward(
     model: ClassifierModel,
     samples,
     temperature: float = 1.0,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
-    dropout_rate: float | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Class distributions for a batch plus the cache for backward.
 
     ``samples`` is a SampleSet or a sequence of samples (``y`` is
-    (samples, classes)) or one Sample (``y`` is 1-D).  Dropout (on the
-    hidden layer output) is active only in train mode.
+    (samples, classes)) or one Sample (``y`` is 1-D).  Given a generator,
+    the pass drops out hidden units at ``model.config.dropout_rate``;
+    without one it is the deterministic evaluation pass.
     """
     pooled = _pool(model, samples)
-    dense = _dense(model, pooled[3], train_mode, rng, dropout_rate)
+    dense = _dense(model, pooled[3], rng)
     return softmax_t(dense[3], temperature), ForwardCache(*pooled, *dense, model.version)
 
 

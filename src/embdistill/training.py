@@ -10,10 +10,11 @@ initialization draws from ``default_rng([seed, 0])`` and the training
 loop (shuffling, dropout) from ``default_rng([seed, 1])``.
 
 An objective is called once per mini-batch as
-``objective(model, samples, indices, rng, dropout_rate)``, where
-``samples`` is the mini-batch SampleSet and ``indices`` are its
-samples' positions in the training set; it returns the per-sample
-losses and the gradients of their mean.
+``objective(model, samples, indices, rng)``, where ``samples`` is the
+mini-batch SampleSet and ``indices`` are its samples' positions in the
+training set; it returns the per-sample losses and the gradients of
+their mean.  Its forward pass takes ``rng``, so it drops out at the
+model's own ``config.dropout_rate``.
 """
 
 from __future__ import annotations
@@ -107,11 +108,9 @@ class TrialResult:
         return self.valid_accuracies[self.best_epoch]
 
 
-def standard_objective(model, samples, indices, rng, dropout_rate):
+def standard_objective(model, samples, indices, rng):
     """Cross-entropy against the one-hot labels at temperature 1."""
-    y, cache = forward(
-        model, samples, temperature=1.0, train_mode=True, rng=rng, dropout_rate=dropout_rate
-    )
+    y, cache = forward(model, samples, temperature=1.0, rng=rng)
     targets = one_hot(cache.batch.labels, model.config.n_classes)
     return cross_entropy(y, targets), backward(model, cache, targets, temperature=1.0)
 
@@ -130,13 +129,13 @@ def sgd_epoch(
     samples,
     lr: float,
     batch_size: int,
-    dropout_rate: float,
     rng: np.random.Generator,
     objective=None,
 ) -> float:
     """One pass over the samples; returns the mean per-sample loss.
 
-    Samples are shuffled with the supplied generator; each mini-batch
+    Samples are shuffled with the supplied generator, which also draws
+    the dropout masks at ``model.config.dropout_rate``; each mini-batch
     applies the *mean* gradient (so the learning-rate grid keeps its
     meaning across batch sizes).
     """
@@ -153,7 +152,7 @@ def sgd_epoch(
     losses = []
     for batch_index, start in enumerate(range(0, len(order), batch_size)):
         indices = order[start : start + batch_size]
-        batch_losses, grads = objective(model, samples[indices], indices, rng, dropout_rate)
+        batch_losses, grads = objective(model, samples[indices], indices, rng)
         if not np.isfinite(batch_losses.sum()):
             raise DivergenceError(
                 f"non-finite loss in batch {batch_index} (lr={lr})"
@@ -227,9 +226,7 @@ def train_trial(
     for epoch in range(cfg.max_epochs):
         lr = decay(cfg.learning_rate, cfg.decay_scheme, epoch)
         epoch_start = time.perf_counter()
-        loss = sgd_epoch(
-            model, splits.train, lr, cfg.batch_size, cfg.dropout_rate, train_rng, objective
-        )
+        loss = sgd_epoch(model, splits.train, lr, cfg.batch_size, train_rng, objective)
         valid_acc = evaluate_accuracy(model, splits.valid)
         train_losses.append(loss)
         valid_accs.append(valid_acc)

@@ -214,8 +214,8 @@ class _PerfectTeacherObjective:
         self.max_gap = 0.0
         self.steps = 0
 
-    def __call__(self, model, samples, indices, rng, dropout_rate):
-        losses, grads = self.inner(model, samples, indices, rng, dropout_rate)
+    def __call__(self, model, samples, indices, rng):
+        losses, grads = self.inner(model, samples, indices, rng)
         y, _ = forward(model, samples)
         labels = [s.label for s in samples]
         standard = cross_entropy(y, one_hot(labels, self.n_classes))

@@ -407,6 +407,25 @@ class TestBench:
         assert code == 2
 
 
+class TestCheckedBeforeReading:
+    """``--split`` and ``--reps`` are refused (exit 2) before any model or
+    data file is read, with one message per option."""
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("eval", ["--split", "nope"],
+         "unknown split 'nope', expected one of ['test', 'train', 'valid']"),
+        ("bench", ["--split", "nope"],
+         "unknown split 'nope', expected one of ['test', 'train', 'valid']"),
+        ("bench", ["--reps", "2"], "--reps: must be >= 3, got 2"),
+    ])
+    def test_exit_2_on_missing_files(self, tmp_path, capsys, command, argv, message):
+        missing = tmp_path / "missing.mdl"
+        models = (["--model", missing] if command == "eval"
+                  else ["--large", missing, "--small", missing])
+        assert run_cli(command, *models, "--data", tmp_path / "no-data", *argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestCompare:
     def _results(self, toy_corpus, tmp_path):
         data = prepare(toy_corpus, tmp_path / "data")
@@ -1070,9 +1089,10 @@ class TestNonFiniteNumbers:
 
 
 class TestOptionsBelowTheirRange:
-    """A negative seed, ``--jobs`` below 1 or ``--distill-dim`` below 1 is a
-    configuration error (exit 2) naming the option, raised before any
-    output is written."""
+    """A negative seed, a count or width below 1, a distilled width not
+    below the vector width, or a random-vector scale that is not positive
+    is a configuration error (exit 2) naming the option, raised before
+    any output is written."""
 
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -1090,6 +1110,21 @@ class TestOptionsBelowTheirRange:
         ("teacher", ["--seed", "-1"], "--seed: must be >= 0, got -1"),
         ("distill", ["--distill-dim", "0"], "--distill-dim: must be >= 1, got 0"),
         ("distill", ["--seed", "-1"], "--seed: must be >= 0, got -1"),
+        ("train", ["--batch-size", "0"], "--batch-size: must be >= 1, got 0"),
+        ("train", ["--epochs", "0"], "--epochs: must be >= 1, got 0"),
+        ("train", ["--patience", "0"], "--patience: must be >= 1, got 0"),
+        ("train", ["--hidden", "0"], "--hidden: must be >= 1, got 0"),
+        ("train", ["--classes", "0"], "--classes: must be >= 1, got 0"),
+        ("train", ["--embed-dim", "0"], "--embed-dim: must be >= 1, got 0"),
+        ("train", ["--init-scale", "0"], "--init-scale: must be > 0 for random vectors, got 0.0"),
+        ("train", ["--init-scale", "-0.1"],
+         "--init-scale: must be > 0 for random vectors, got -0.1"),
+        ("teacher", ["--hidden", "0"], "--hidden: must be >= 1, got 0"),
+        ("teacher", ["--classes", "0"], "--classes: must be >= 1, got 0"),
+        ("teacher", ["--batch-size", "0"], "--batch-size: must be >= 1, got 0"),
+        ("distill", ["--distill-dim", "12"],
+         "--distill-dim: 12 must be smaller than the vector width 12"),
+        ("distill", ["--epochs", "0"], "--epochs: must be >= 1, got 0"),
     ])
     def test_exit_2_before_output(self, corpus, tmp_path, capsys, command, argv, message):
         data = prepare(corpus, tmp_path / "data")
@@ -1097,7 +1132,7 @@ class TestOptionsBelowTheirRange:
                   else ["--embeddings", corpus / "large_vecs.txt"])
         out = tmp_path / "out"
         capsys.readouterr()
-        assert run_cli(command, "--data", data, *source, *argv, "--epochs", "1",
+        assert run_cli(command, "--data", data, *source, "--epochs", "1", *argv,
                        "--out", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
@@ -1112,6 +1147,14 @@ class TestOptionsBelowTheirRange:
                        "--out", out) == 2
         assert capsys.readouterr().err == "error: --seeds: must be >= 0, got -1\n"
         assert not out.exists()
+
+    def test_zero_init_scale_with_embeddings_is_accepted(self, corpus, tmp_path):
+        # the scale only draws vectors for words the file lacks
+        data = prepare(corpus, tmp_path / "data")
+        assert run_cli("train", "--data", data, "--embeddings", corpus / "large_vecs.txt",
+                       "--init-scale", "0", "--lr", "0.5", "--decay", "constant",
+                       "--dropout", "0", "--epochs", "1", "--seeds", "0",
+                       "--out", tmp_path / "out") == 0
 
 
 class TestDeterminism:

@@ -226,7 +226,7 @@ class TestMatchingSoftmaxObjective:
         targets = SoftTargetSet(1.0, onehot_rows(samples, 5))
         objective = MatchingSoftmaxObjective(targets)
         indices = np.arange(len(samples))
-        losses, grads = objective(model, samples, indices, None, 0.0)
+        losses, grads = objective(model, samples, indices, None)
         y, cache = forward(model, samples)
         t = onehot_rows(samples, 5)
         for i in indices:
@@ -248,7 +248,7 @@ class TestMatchingSoftmaxObjective:
         teacher_row = np.array([0.1, 0.5, 0.2, 0.2])
         targets = SoftTargetSet(2.0, teacher_row[None, :])
         objective = MatchingSoftmaxObjective(targets)
-        _, grads = objective(model, [sample], np.array([0]), None, 0.0)
+        _, grads = objective(model, [sample], np.array([0]), None)
 
         def loss_fn():
             y1, cache = forward(model, sample)
@@ -418,6 +418,6 @@ class TestEncodingDominance:
         enc_loss = dir_loss = None
         rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(15):
-            enc_loss = sgd_epoch(enc_model, splits.train, 0.5, 16, 0.0, rng_a)
-            dir_loss = sgd_epoch(dir_model, splits.train, 0.5, 16, 0.0, rng_b)
+            enc_loss = sgd_epoch(enc_model, splits.train, 0.5, 16, rng_a)
+            dir_loss = sgd_epoch(dir_model, splits.train, 0.5, 16, rng_b)
         assert enc_loss <= dir_loss + 1e-9

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embdistill.model
 from embdistill.data import Sample, SampleSet
 from embdistill.embeddings import (
     EmbeddingTable,
@@ -115,23 +116,42 @@ class TestForward:
         assert np.allclose(y1, y2, atol=1e-12)
 
     def test_dropout_only_in_train_mode(self):
+        # train mode is a forward pass given a generator
         rng = np.random.default_rng(4)
         model = tiny_model(rng)
         model.config.dropout_rate = 0.5
         sample = Sample(np.array([0, 1]), 0)
         y_eval, cache = forward(model, sample)
         assert cache.mask is None
-        _, cache_train = forward(model, sample, train_mode=True, rng=np.random.default_rng(0))
+        _, cache_train = forward(model, sample, rng=np.random.default_rng(0))
         assert cache_train.mask is not None
         # eval path is deterministic
         y_eval2, _ = forward(model, sample)
         assert np.array_equal(y_eval, y_eval2)
 
-    def test_dropout_needs_rng(self):
-        rng = np.random.default_rng(5)
-        model = tiny_model(rng)
-        with pytest.raises(ConfigError, match="generator"):
-            forward(model, Sample(np.array([0]), 0), train_mode=True, dropout_rate=0.5)
+    def test_no_generator_builds_no_mask(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dropout_mask called")
+
+        model = tiny_model(np.random.default_rng(5), n_distill=3)
+        model.config.dropout_rate = 0.5
+        monkeypatch.setattr(embdistill.model, "dropout_mask", refuse)
+        samples = mixed_batch()
+        for s in (samples, samples[0]):
+            _, cache = forward(model, s, temperature=2.0)
+            assert cache.mask is None and cache.hidden is cache.hidden_act
+        predict(model, samples)
+        class_distributions(model, samples)
+        with pytest.raises(AssertionError, match="dropout_mask called"):
+            forward(model, samples, rng=np.random.default_rng(0))
+
+    def test_zero_rate_builds_no_mask_with_a_generator(self):
+        model = tiny_model(np.random.default_rng(5))
+        generator = np.random.default_rng(0)
+        state = generator.bit_generator.state
+        _, cache = forward(model, mixed_batch(), rng=generator)
+        assert cache.mask is None
+        assert generator.bit_generator.state == state
 
 
 class TestBackward:
@@ -253,13 +273,13 @@ class TestBatchEngine:
         rng = np.random.default_rng(34)
         model = tiny_model(rng, n_hidden=6)
         samples = mixed_batch()
-        _, cache = forward(model, samples, train_mode=True,
-                           rng=np.random.default_rng(5), dropout_rate=0.4)
+        model.config.dropout_rate = 0.4
+        _, cache = forward(model, samples, rng=np.random.default_rng(5))
         per_sample = np.random.default_rng(5)
         stacked = [dropout_mask(6, 0.4, per_sample) for _ in samples]
         assert np.array_equal(cache.mask, np.stack(stacked))
         one = np.random.default_rng(5)
-        _, alone = forward(model, samples[0], train_mode=True, rng=one, dropout_rate=0.4)
+        _, alone = forward(model, samples[0], rng=one)
         assert np.array_equal(alone.mask, stacked[0])
 
     def test_empty_batch_rejected(self):

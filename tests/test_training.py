@@ -95,7 +95,7 @@ class TestSgdEpoch:
         factory, splits = tiny_factory()
         model = factory.build(0)
         before = model.snapshot()
-        loss = sgd_epoch(model, splits.train, 0.0, 16, 0.0, np.random.default_rng(0))
+        loss = sgd_epoch(model, splits.train, 0.0, 16, np.random.default_rng(0))
         assert np.isfinite(loss) and loss > 0
         for a, b in zip(before, model.snapshot()):
             assert np.array_equal(a, b)
@@ -105,22 +105,41 @@ class TestSgdEpoch:
         model = factory.build(0)
         batch = splits.train[:1]
         ref = factory.build(0)
-        y, cache = forward(ref, batch, train_mode=True)
+        y, cache = forward(ref, batch)
         grads = dense_gradients(ref, backward(ref, cache, one_hot(batch.labels, 5)))
         before = {name: a.copy() for name, a in model.named_parameters()}
         lr = 0.25
-        sgd_epoch(model, batch, lr, 1, 0.0, np.random.default_rng(0))
+        sgd_epoch(model, batch, lr, 1, np.random.default_rng(0))
         for name, after in model.named_parameters():
             assert np.array_equal(after, before[name] - lr * grads[name]), name
 
     def test_same_seed_identical_trajectories(self):
         factory, splits = tiny_factory()
-        m1, m2 = factory.build(3), factory.build(3)
-        l1 = sgd_epoch(m1, splits.train, 0.5, 8, 0.2, np.random.default_rng(7))
-        l2 = sgd_epoch(m2, splits.train, 0.5, 8, 0.2, np.random.default_rng(7))
+        m1, m2 = factory.build(3, 0.2), factory.build(3, 0.2)
+        l1 = sgd_epoch(m1, splits.train, 0.5, 8, np.random.default_rng(7))
+        l2 = sgd_epoch(m2, splits.train, 0.5, 8, np.random.default_rng(7))
         assert l1 == l2
         for (_, a), (_, b) in zip(m1.named_parameters(), m2.named_parameters()):
             assert np.array_equal(a, b)
+
+    def test_epoch_drops_out_at_the_model_rate_with_its_generator(self):
+        factory, splits = tiny_factory()
+        model, hand = factory.build(2, 0.3), factory.build(2, 0.3)
+        loss = sgd_epoch(model, splits.train, 0.5, 8, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        order = rng.permutation(len(splits.train))
+        losses, masks = [], 0
+        for start in range(0, len(order), 8):
+            batch = splits.train[order[start : start + 8]]
+            y, cache = forward(hand, batch, rng=rng)
+            masks += cache.mask is not None
+            targets = one_hot(batch.labels, 5)
+            losses.append(cross_entropy(y, targets))
+            apply_update(hand, backward(hand, cache, targets), 0.5)
+        assert masks == len(losses)
+        assert loss == float(np.mean(np.concatenate(losses)))
+        for (name, a), (_, b) in zip(model.named_parameters(), hand.named_parameters()):
+            assert np.array_equal(a, b), name
 
     def test_embedding_updates_are_sparse(self):
         factory, splits = tiny_factory()
@@ -128,7 +147,7 @@ class TestSgdEpoch:
         batch = splits.train[:2]
         touched = set(int(t) for s in batch for t in s.tokens)
         before = model.embedding.matrix.copy()
-        sgd_epoch(model, batch, 0.5, len(batch), 0.0, np.random.default_rng(0))
+        sgd_epoch(model, batch, 0.5, len(batch), np.random.default_rng(0))
         for col in range(before.shape[1]):
             if col not in touched:
                 assert np.array_equal(model.embedding.matrix[:, col], before[:, col])
@@ -142,18 +161,18 @@ class TestSgdEpoch:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="lr="):
                 for _ in range(5):
-                    sgd_epoch(model, splits.train, 1e200, 8, 0.0, rng)
+                    sgd_epoch(model, splits.train, 1e200, 8, rng)
 
     def test_empty_set_is_data_error(self):
         factory, splits = tiny_factory()
         with pytest.raises(DataError, match="empty"):
-            sgd_epoch(factory.build(0), splits.train[:0], 0.1, 5, 0.0, np.random.default_rng(0))
+            sgd_epoch(factory.build(0), splits.train[:0], 0.1, 5, np.random.default_rng(0))
 
     def test_version_bumps_per_batch(self):
         factory, splits = tiny_factory()
         model = factory.build(0)
         v0 = model.version
-        sgd_epoch(model, splits.train[:20], 0.1, 5, 0.0, np.random.default_rng(0))
+        sgd_epoch(model, splits.train[:20], 0.1, 5, np.random.default_rng(0))
         assert model.version == v0 + 4
 
 
@@ -173,7 +192,7 @@ class TestBatchObjectives:
         rng = np.random.default_rng(40)
         model = tiny_model(rng, vocab_size=7, n_embed=5, n_distill=n_distill, n_classes=3)
         samples = mixed_batch()
-        losses, grads = standard_objective(model, samples, np.arange(3), None, 0.0)
+        losses, grads = standard_objective(model, samples, np.arange(3), None)
         assert losses.shape == (3,)
         mean = None
         for i, sample in enumerate(samples):
@@ -193,7 +212,7 @@ class TestBatchObjectives:
         teacher = np.array([soft_target(rng, 4) for _ in range(5)])
         indices = np.array([4, 0, 2])
         objective = MatchingSoftmaxObjective(SoftTargetSet(2.0, teacher))
-        losses, grads = objective(model, samples, indices, None, 0.0)
+        losses, grads = objective(model, samples, indices, None)
         hard = one_hot([s.label for s in samples], 4)
 
         def mean_mixed_loss():
@@ -220,7 +239,7 @@ class TestBatchObjectives:
         model = tiny_model(rng, vocab_size=9, n_distill=3)
         model.embedding.matrix = np.asfortranarray(model.embedding.matrix)
         samples = mixed_batch()
-        _, grads = standard_objective(model, samples, np.arange(3), None, 0.0)
+        _, grads = standard_objective(model, samples, np.arange(3), None)
         dense = dense_gradients(model, grads)
         before = {name: a.copy() for name, a in model.named_parameters()}
         apply_update(model, grads, 0.5)
