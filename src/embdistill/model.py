@@ -182,9 +182,15 @@ class ClassifierModel:
         return params + [(name, getattr(self, name))
                          for name in ("hidden_w", "hidden_b", "out_w", "out_b")]
 
-    def snapshot(self) -> list[np.ndarray]:
-        # np.copy keeps each array's memory layout (the table is word-major)
-        return [np.copy(a) for _, a in self.named_parameters()]
+    def snapshot(self, into: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        """A copy of every parameter, written over ``into`` (an earlier
+        snapshot of this model) when it is given."""
+        if into is None:
+            # np.copy keeps each array's memory layout (the table is word-major)
+            return [np.copy(a) for _, a in self.named_parameters()]
+        for saved, (_, a) in zip(into, self.named_parameters()):
+            np.copyto(saved, a)
+        return into
 
     def restore(self, arrays: list[np.ndarray]) -> None:
         for (_, a), saved in zip(self.named_parameters(), arrays):
@@ -264,7 +270,7 @@ def _segment_sums(
     lengths = lengths[order]
     position = np.arange(lengths[0])[:, None]
     present = position < lengths  # (positions, segments)
-    gathered = rows[index[(starts[order] + position)[present]]]
+    gathered = rows.take(index[(starts[order] + position)[present]], axis=0)
     counts = np.count_nonzero(present, axis=1)
     sums = gathered[: counts[0]]
     end = counts[0]

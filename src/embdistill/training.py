@@ -206,11 +206,14 @@ def train_trial(
 ) -> tuple[ClassifierModel, TrialResult]:
     """Train one configuration to its early-stopping point.
 
-    Keeps the parameters of the best-validation epoch and returns the
-    model restored to them; the test split is evaluated once, on the
-    restored model, so a later ``eval`` reproduces the reported
-    accuracy.  The optional log gets one tab-separated line per epoch:
-    epoch, train_loss, valid_acc, lr, seconds.
+    Keeps the parameters of the best-validation epoch in one snapshot
+    buffer, which each improving epoch overwrites (so a regime run holds
+    at most four copies of the table: the caller's, the best restart's,
+    the trial's and its snapshot), and returns the model restored to
+    them; the test split is evaluated once, on the restored model, so a
+    later ``eval`` reproduces the reported accuracy.  The optional log
+    gets one tab-separated line per epoch: epoch, train_loss, valid_acc,
+    lr, seconds.
     """
     model = factory.build(cfg.seed, cfg.dropout_rate)
     train_rng = np.random.default_rng([cfg.seed, 1])
@@ -233,7 +236,7 @@ def train_trial(
         if valid_acc > best_valid:
             best_valid = valid_acc
             best_epoch = epoch
-            best_state = model.snapshot()
+            best_state = model.snapshot(into=best_state)
         log_lines.append(
             f"{epoch}\t{loss:.6f}\t{valid_acc:.6f}\t{lr:.6g}"
             f"\t{time.perf_counter() - epoch_start:.3f}"
@@ -373,10 +376,12 @@ def grid_search(
     ]
     jobs_args = [(factory, splits, lane, objective, log_dir) for lane in lanes]
 
-    if jobs > 1:
+    # fork starts every worker up front, so more than one per lane would idle
+    workers = min(jobs, len(lanes))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_group = list(pool.map(_run_grid_group, jobs_args))
     else:
         per_group = [_run_grid_group(a) for a in jobs_args]

@@ -396,6 +396,18 @@ class TestWordMajorLayout:
         model.restore(saved)
         assert model.embedding.matrix.flags.f_contiguous
 
+    def test_snapshot_into_an_earlier_one_overwrites_and_returns_it(self):
+        model = self._model()
+        saved = model.snapshot()
+        arrays = list(saved)
+        for _, param in model.named_parameters():
+            param += 1.0
+        assert model.snapshot(into=saved) is saved
+        assert all(a is b for a, b in zip(saved, arrays))
+        for a, fresh in zip(saved, model.snapshot()):
+            assert np.array_equal(a, fresh)
+        assert saved[0].flags.f_contiguous
+
     def test_loaded_and_folded_tables_are_word_major(self, tmp_path):
         model = self._model()
         save_model(model, tmp_path / "m.mdl")

@@ -1,4 +1,6 @@
+import concurrent.futures
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from embdistill.data import DatasetSplits, Sample
 from embdistill.distillation import MatchingSoftmaxObjective, SoftTargetSet
 from embdistill.embeddings import init_random_table
 from embdistill.errors import ConfigError, DataError, DivergenceError
-from embdistill.model import ModelConfig, evaluate_accuracy, forward, backward
+from embdistill.model import ClassifierModel, ModelConfig, evaluate_accuracy, forward, backward
 from embdistill.ops import cross_entropy, one_hot, softmax_t
 from embdistill.training import (
     DECAY_SCHEMES,
@@ -30,6 +32,7 @@ from helpers import (
     dense_gradients,
     rel_error,
     soft_target,
+    synthetic_probe_task,
     tiny_model,
     toy_separable_task,
 )
@@ -293,6 +296,56 @@ class TestTrainTrial:
         assert improvements >= 2  # a per-improvement evaluation would show
         assert sum(tested) == 1
 
+    def test_improving_epochs_overwrite_one_snapshot(self, monkeypatch):
+        factory, splits = tiny_factory()
+        cfg = TrainConfig(learning_rate=0.5, max_epochs=6, batch_size=16, seed=2)
+        taken = []
+        snapshot = ClassifierModel.snapshot
+
+        def spy(model, *args, **kwargs):
+            taken.append(snapshot(model, *args, **kwargs))
+            return taken[-1]
+
+        monkeypatch.setattr(ClassifierModel, "snapshot", spy)
+        train_trial(factory, splits, cfg)
+        assert len(taken) >= 2
+        assert all(saved is taken[0] for saved in taken)
+
+    @pytest.mark.parametrize("n_distill", [0, 3])
+    def test_reused_snapshot_gives_the_bits_of_fresh_copies(self, n_distill, monkeypatch):
+        _, splits = tiny_factory()
+        config = ModelConfig(n_embed=6, n_hidden=5, n_classes=5, n_distill=n_distill)
+        factory = ModelFactory(config, vocab=splits.vocab)
+        cfg = TrainConfig(learning_rate=0.5, max_epochs=6, batch_size=16,
+                          dropout_rate=0.2, seed=2)
+        reused, r1 = train_trial(factory, splits, cfg)
+        snapshot = ClassifierModel.snapshot
+        monkeypatch.setattr(ClassifierModel, "snapshot", lambda model, into=None: snapshot(model))
+        fresh, r2 = train_trial(factory, splits, cfg)
+        assert r1.best_epoch > 0
+        assert dataclasses.replace(r1, seconds=0.0) == dataclasses.replace(r2, seconds=0.0)
+        for (name, a), (_, b) in zip(reused.named_parameters(), fresh.named_parameters()):
+            assert np.array_equal(a, b), name
+
+    def test_traced_peak_holds_the_table_twice_not_three_times(self):
+        splits, table = synthetic_probe_task(seed=9, vocab_size=4000, big_dim=100,
+                                             seq_len=4, n_train=600)
+        config = ModelConfig(n_embed=100, n_hidden=20, n_classes=5, n_distill=10)
+        factory = ModelFactory(config, table=table)
+        cfg = TrainConfig(learning_rate=1.0, max_epochs=6, batch_size=50, seed=1)
+        tracemalloc.start()
+        try:
+            _, result = train_trial(factory, splits, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        accs = result.valid_accuracies
+        later = [i for i in range(1, len(accs)) if accs[i] > max(accs[:i])]
+        assert len(later) >= 2  # fresh snapshots would overlap the one before
+        # the trial's table, its one snapshot and the batches' gathered rows
+        table_bytes = table.matrix.nbytes
+        assert peak < 2.5 * table_bytes
+
     def test_early_stopping_respects_patience(self):
         factory, splits = tiny_factory()
         cfg = TrainConfig(learning_rate=1e-9, max_epochs=30, batch_size=16,
@@ -407,6 +460,34 @@ class TestGridSearch:
         assert [e.result.best_valid_accuracy for e in seq.entries] == [
             e.result.best_valid_accuracy for e in par.entries
         ]
+
+    def test_one_lane_runs_without_a_pool(self, monkeypatch):
+        factory, splits = tiny_factory()
+        protocol = TrainingProtocol(
+            learning_rates=(0.5,), decay_schemes=("constant",),
+            dropout_rates=(0.0, 0.2), batch_size=16, max_epochs=2,
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never reached
+        grid = grid_search(factory, splits, protocol, jobs=4)
+        assert len(grid.entries) == 2
+
+    def test_pool_has_one_worker_per_lane(self, monkeypatch):
+        factory, splits = tiny_factory()
+        protocol = TrainingProtocol(
+            learning_rates=(0.5, 0.1), decay_schemes=("constant",),
+            dropout_rates=(0.0,), batch_size=16, max_epochs=2,
+        )
+        asked = []
+
+        class InlineExecutor(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        grid = grid_search(factory, splits, protocol, jobs=8)
+        assert asked == [2]
+        assert len(grid.entries) == 2
 
 
 class TestMultiRestart:
