@@ -155,13 +155,13 @@ class MatchingSoftmaxObjective:
         y1, cache = forward(model, samples, temperature=1.0, rng=rng)
         temp = self.soft_targets.temperature
         y_temp = softmax_t(cache.logits, temp)
-        targets = one_hot(cache.batch.labels, model.config.n_classes)
+        targets = one_hot(cache.samples.labels, model.config.n_classes)
         teacher_rows = self.soft_targets.targets[indices]
         losses = mixed_loss(y1, y_temp, targets, teacher_rows)
         dz = softmax_ce_backward(cache.logits, targets, 1.0) + softmax_ce_backward(
             cache.logits, teacher_rows, temp
         )
-        return losses, backward_from_logit_grad(model, cache, dz / len(cache.batch))
+        return losses, backward_from_logit_grad(model, cache, dz / len(cache.samples))
 
 
 def _check_labels(splits, n_classes: int) -> None:

@@ -7,9 +7,8 @@ the classifier.  A folded model carries a small table instead and no
 encoder; predictions are identical.
 
 Forward and backward passes work on a batch, a ``SampleSet`` or anything
-``SampleSet.of`` takes.  ``forward`` also runs a single ``Sample``, with
-1-D outputs and without making its SampleSet; a deployed model's
-``predict`` runs that path up to the logits.  Backward needs a batch.
+``SampleSet.of`` takes.  A lone ``Sample`` goes to ``predict`` only,
+which runs just the gather, the row sum and the two dense layers.
 """
 
 from __future__ import annotations
@@ -202,14 +201,13 @@ class ClassifierModel:
 class ForwardCache:
     """Intermediate values one backward pass needs.
 
-    ``samples`` is what ``forward`` ran on: a lone Sample, or the
-    SampleSet it made of its input.  Per-sample arrays have one row per
-    sample (1-D for a lone Sample, which backward refuses).  ``rows`` and
-    ``encoded`` are set only when an encoder runs: the table rows and
-    encodings of the batch's distinct tokens, ids ascending.
+    ``samples`` is the SampleSet ``forward`` made of its input, and
+    per-sample arrays have one row per sample.  ``rows`` and ``encoded``
+    are set only when an encoder runs: the table rows and encodings of
+    the batch's distinct tokens, ids ascending.
     """
 
-    samples: Sample | SampleSet
+    samples: SampleSet
     rows: np.ndarray | None      # (distinct tokens, table_dim)
     encoded: np.ndarray | None   # (distinct tokens, n_distill)
     pool: np.ndarray
@@ -218,15 +216,6 @@ class ForwardCache:
     hidden: np.ndarray           # after dropout
     logits: np.ndarray
     model_version: int
-
-    @property
-    def batch(self) -> SampleSet:
-        """The batch that ran; a lone Sample's cache has none."""
-        if isinstance(self.samples, Sample):
-            raise DataError(
-                "backward needs a batch: pass SampleSet.of([sample]) to forward"
-            )
-        return self.samples
 
 
 @dataclass
@@ -283,14 +272,10 @@ def _segment_sums(
 
 
 def _pool(model: ClassifierModel, samples) -> tuple:
-    """Mean pooling, lone or batched: the cache's samples, rows, encoded and pool."""
-    lone = isinstance(samples, Sample)
-    if not lone:
-        samples = SampleSet.of(samples)
-        if len(samples) == 0:
-            raise DataError("cannot classify an empty batch")
-    elif samples.tokens.size == 0:
-        raise DataError("empty sample: a sample needs at least one token")
+    """Mean pooling of a batch: the cache's samples, rows, encoded and pool."""
+    samples = SampleSet.of(samples)
+    if len(samples) == 0:
+        raise DataError("cannot classify an empty batch")
     table = model.embedding.matrix.T  # one word vector per row
     tokens = samples.tokens
     rows = encoded = None
@@ -299,19 +284,8 @@ def _pool(model: ClassifierModel, samples) -> tuple:
         ids, tokens = np.unique(tokens, return_inverse=True)
         rows = table[ids]
         table = encoded = model.encoder.encode_columns(rows.T).T
-    if lone:
-        # the bits of the sample's row in any batch: its rows added in
-        # ``_segment_sums``' order, which ``sum(axis=0)`` keeps unless the
-        # block is one column wide (numpy then adds pairwise).  ``take``
-        # copies the rows of ``table[tokens]`` in a third of its time.
-        gathered = table.take(tokens, axis=0)
-        if gathered.shape[1] > 1:
-            pool = gathered.sum(axis=0) / tokens.size
-        else:
-            pool = np.cumsum(gathered, axis=0)[-1] / tokens.size
-    else:
-        pool = _segment_sums(table, tokens, samples.starts, samples.lengths)
-        pool /= samples.lengths[:, None]
+    pool = _segment_sums(table, tokens, samples.starts, samples.lengths)
+    pool /= samples.lengths[:, None]
     return samples, rows, encoded, pool
 
 
@@ -336,9 +310,10 @@ def forward(
     """Class distributions for a batch plus the cache for backward.
 
     ``samples`` is a SampleSet or a sequence of samples (``y`` is
-    (samples, classes)) or one Sample (``y`` is 1-D).  Given a generator,
-    the pass drops out hidden units at ``model.config.dropout_rate``;
-    without one it is the deterministic evaluation pass.
+    (samples, classes)); a lone Sample goes to ``predict``.  Given a
+    generator, the pass drops out hidden units at
+    ``model.config.dropout_rate``; without one it is the deterministic
+    evaluation pass.
     """
     pooled = _pool(model, samples)
     dense = _dense(model, pooled[3], rng)
@@ -369,7 +344,7 @@ def backward_from_logit_grad(
         raise StaleCacheError(
             "backward called with a cache from a previous parameter state"
         )
-    batch = cache.batch
+    batch = cache.samples
     out_w, d_hidden, out_b = affine_backward(model.out_w, cache.hidden, model.out_b, dz)
     if cache.mask is not None:
         d_hidden = d_hidden * cache.mask
@@ -401,7 +376,7 @@ def backward(
     ``cache.logits``: one-hot or any distribution summing to 1.
     """
     dz = softmax_ce_backward(cache.logits, target, temperature)
-    return backward_from_logit_grad(model, cache, dz / len(cache.batch))
+    return backward_from_logit_grad(model, cache, dz / len(cache.samples))
 
 
 def class_distributions(
@@ -417,12 +392,30 @@ def class_distributions(
     return out
 
 
+def _sample_logits(model: ClassifierModel, sample: Sample) -> np.ndarray:
+    """One sample's logits without batch bookkeeping or dropout: its rows
+    add in ``_segment_sums``' order, as ``sum(axis=0)`` does unless the
+    block is one column wide, so a model without an encoder gives the
+    bits of the sample's row in any batch."""
+    tokens = sample.tokens
+    if tokens.size == 0:
+        raise DataError("empty sample: a sample needs at least one token")
+    table = model.embedding.matrix.T
+    if model.encoder is not None:
+        ids, tokens = np.unique(tokens, return_inverse=True)
+        table = model.encoder.encode_columns(table[ids].T).T
+    gathered = table.take(tokens, axis=0)
+    pool = gathered.sum(axis=0) if gathered.shape[1] > 1 else np.cumsum(gathered, axis=0)[-1]
+    pool /= tokens.size
+    return model.out_w.dot(np.tanh(model.hidden_w.dot(pool) + model.hidden_b)) + model.out_b
+
+
 def predict(model: ClassifierModel, samples):
     """Class with the largest logit for one Sample, or an array of them
     for a sequence.  A lone Sample stops at its logits: no softmax, no
     ForwardCache."""
     if isinstance(samples, Sample):
-        return int(_dense(model, _pool(model, samples)[3])[3].argmax())
+        return int(_sample_logits(model, samples).argmax())
     out = np.empty(len(samples), dtype=np.intp)
     for start in range(0, len(samples), EVAL_CHUNK):
         logits = forward(model, samples[start : start + EVAL_CHUNK])[1].logits

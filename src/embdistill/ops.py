@@ -49,9 +49,7 @@ def affine_forward(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"affine_forward: W is {w.shape[0]}x{w.shape[1]}, "
             f"x has dim {x.shape[-1]}, b has dim {b.shape[0]}"
         )
-    if x.ndim == 1:
-        return w @ x + b
-    return np.matmul(x[:, None, :], w.T)[:, 0] + b
+    return np.matmul(x[..., None, :], w.T)[..., 0, :] + b
 
 
 def affine_backward(
@@ -104,17 +102,11 @@ def softmax_t(z: np.ndarray, temperature: float) -> np.ndarray:
     last axis (each row of a batch on its own).
 
     Uses max subtraction so large logits (early training at high
-    learning rates) cannot overflow.  A vector reduces to scalars, the
-    same bits as its batch of one without the ``keepdims`` broadcasts.
+    learning rates) cannot overflow.
     """
     if not temperature > 0:
         raise ConfigError(f"softmax temperature must be > 0, got {temperature}")
     scaled = np.asarray(z, dtype=float) / temperature
-    if scaled.ndim == 1:
-        scaled -= scaled.max()
-        np.exp(scaled, out=scaled)
-        scaled /= scaled.sum()
-        return scaled
     scaled -= scaled.max(axis=-1, keepdims=True)
     np.exp(scaled, out=scaled)
     scaled /= scaled.sum(axis=-1, keepdims=True)

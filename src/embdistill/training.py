@@ -19,8 +19,10 @@ model's own ``config.dropout_rate``.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +48,15 @@ DECAY_SCHEMES = (DECAY_CONSTANT, DECAY_HALVE_EVERY_3, DECAY_INVERSE)
 # chance plus this margin; stronger regularization at the same learning
 # rate is then pointless and gets skipped.
 UNDERFIT_MARGIN = 0.05
+
+
+# A trial sets its process's BLAS to one thread: more buy nothing at the
+# engine's shapes, grid lanes' threads compete for the same cores, and a
+# product's bits can depend on the thread count.  Only numpy's bundled
+# OpenBLAS is set (its setter resolved here, once); another BLAS is not.
+_OPENBLAS = next((lib for lib in map(ctypes.CDLL, Path(np.__file__).parents[1].glob(
+    "numpy.libs/libscipy_openblas*")) if hasattr(lib, "scipy_openblas_set_num_threads64_")),
+    None)
 
 
 def decay(lr0: float, scheme: str, epoch: int) -> float:
@@ -111,7 +122,7 @@ class TrialResult:
 def standard_objective(model, samples, indices, rng):
     """Cross-entropy against the one-hot labels at temperature 1."""
     y, cache = forward(model, samples, temperature=1.0, rng=rng)
-    targets = one_hot(cache.batch.labels, model.config.n_classes)
+    targets = one_hot(cache.samples.labels, model.config.n_classes)
     return cross_entropy(y, targets), backward(model, cache, targets, temperature=1.0)
 
 
@@ -215,6 +226,8 @@ def train_trial(
     gets one tab-separated line per epoch: epoch, train_loss, valid_acc,
     lr, seconds.
     """
+    if _OPENBLAS is not None:
+        _OPENBLAS.scipy_openblas_set_num_threads64_(ctypes.c_int(1))
     model = factory.build(cfg.seed, cfg.dropout_rate)
     train_rng = np.random.default_rng([cfg.seed, 1])
     started = time.perf_counter()

@@ -137,8 +137,8 @@ def test_criterion_4_fold_equivalence():
     worst = 0.0
     for _ in range(50):
         sample = Sample(rng.integers(0, 60, size=int(rng.integers(1, 12))), 0)
-        _, live = forward(model, sample)
-        _, via_fold = forward(folded, sample)
+        _, live = forward(model, [sample])
+        _, via_fold = forward(folded, [sample])
         worst = max(worst, float(np.max(np.abs(live.logits - via_fold.logits))))
         assert predict(model, sample) == predict(folded, sample)
     assert worst < 1e-5

@@ -173,8 +173,8 @@ class TestGenerateSoftTargets:
         teacher, samples = self._teacher_and_samples()
         targets = generate_soft_targets(teacher, samples, 1.0)
         for row, sample in zip(targets.targets, samples):
-            y, _ = forward(teacher, sample, temperature=1.0)
-            assert np.array_equal(row, y)
+            y, _ = forward(teacher, [sample], temperature=1.0)
+            assert np.array_equal(row, y[0])
 
     def test_stored_targets_match_recomputation(self, tmp_path):
         teacher, samples = self._teacher_and_samples()
@@ -251,11 +251,11 @@ class TestMatchingSoftmaxObjective:
         _, grads = objective(model, [sample], np.array([0]), None)
 
         def loss_fn():
-            y1, cache = forward(model, sample)
+            y1, cache = forward(model, [sample])
             from embdistill.ops import softmax_t
 
-            return cross_entropy(y1, one_hot(2, 4)) + cross_entropy(
-                softmax_t(cache.logits, 2.0), teacher_row
+            return cross_entropy(y1[0], one_hot(2, 4)) + cross_entropy(
+                softmax_t(cache.logits[0], 2.0), teacher_row
             )
 
         step = 1e-3
@@ -341,8 +341,8 @@ class TestRunRegime:
         assert outcome.deployed_parameters == count_parameters(outcome.folded_model)
         assert outcome.deployed_parameters < count_parameters(outcome.best_model)
         sample = splits.test[0]
-        _, live = forward(outcome.best_model, sample)
-        _, folded = forward(outcome.folded_model, sample)
+        _, live = forward(outcome.best_model, [sample])
+        _, folded = forward(outcome.folded_model, [sample])
         assert np.max(np.abs(live.logits - folded.logits)) < 1e-5
 
     def test_matching_softmax_with_perfect_teacher_not_worse_than_direct(self):

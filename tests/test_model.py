@@ -24,6 +24,7 @@ from embdistill.errors import (
 from embdistill.model import (
     ClassifierModel,
     ModelConfig,
+    _sample_logits,
     backward,
     class_distributions,
     count_parameters,
@@ -77,27 +78,27 @@ def zero_model(n_classes=5, dim=4, n_hidden=3, vocab_size=6):
 class TestForward:
     def test_zero_parameters_give_uniform_distribution(self):
         model = zero_model(n_classes=5)
-        y, _ = forward(model, Sample(np.array([0, 1, 2]), 0))
+        y, _ = forward(model, [Sample(np.array([0, 1, 2]), 0)])
         assert np.allclose(y, 0.2, atol=1e-12)
 
     def test_single_word_pool_is_that_vector(self):
         rng = np.random.default_rng(0)
         model = tiny_model(rng)
-        _, cache = forward(model, Sample(np.array([2]), 0))
-        assert np.array_equal(cache.pool, model.embedding.matrix[:, 2])
+        _, cache = forward(model, [Sample(np.array([2]), 0)])
+        assert np.array_equal(cache.pool[0], model.embedding.matrix[:, 2])
 
     def test_matches_op_composition_oracle(self):
         rng = np.random.default_rng(1)
         model = tiny_model(rng, vocab_size=5, n_embed=4, n_distill=3, n_hidden=3, n_classes=5)
         sample = Sample(np.array([0, 3, 3, 1]), 2)
         for temp in (1.0, 2.0):
-            y, _ = forward(model, sample, temperature=temp)
+            y, _ = forward(model, [sample], temperature=temp)
             cols = model.embedding.matrix[:, sample.tokens]
             enc = np.tanh(model.encoder.w_encode @ cols + model.encoder.b_encode[:, None])
             pool = enc.mean(axis=1)
             h = np.tanh(model.hidden_w @ pool + model.hidden_b)
             z = model.out_w @ h + model.out_b
-            assert np.all(np.abs(y - softmax_t(z, temp)) < 1e-6)
+            assert np.all(np.abs(y[0] - softmax_t(z, temp)) < 1e-6)
 
     def test_empty_sample_rejected(self):
         rng = np.random.default_rng(2)
@@ -105,14 +106,16 @@ class TestForward:
         bad = Sample(np.array([0]), 0)
         bad.tokens = np.array([], dtype=np.intp)  # bypass Sample's own check
         with pytest.raises(DataError, match="empty"):
-            forward(model, bad)
+            forward(model, [bad])
+        with pytest.raises(DataError, match="empty"):
+            predict(model, bad)
 
     def test_token_order_invariance(self):
         rng = np.random.default_rng(3)
         model = tiny_model(rng, n_distill=3)
         tokens = np.array([1, 4, 2, 0, 2])
-        y1, _ = forward(model, Sample(tokens, 0))
-        y2, _ = forward(model, Sample(tokens[::-1].copy(), 0))
+        y1, _ = forward(model, [Sample(tokens, 0)])
+        y2, _ = forward(model, [Sample(tokens[::-1].copy(), 0)])
         assert np.allclose(y1, y2, atol=1e-12)
 
     def test_dropout_only_in_train_mode(self):
@@ -120,7 +123,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         model = tiny_model(rng)
         model.config.dropout_rate = 0.5
-        sample = Sample(np.array([0, 1]), 0)
+        sample = [Sample(np.array([0, 1]), 0)]
         y_eval, cache = forward(model, sample)
         assert cache.mask is None
         _, cache_train = forward(model, sample, rng=np.random.default_rng(0))
@@ -137,10 +140,11 @@ class TestForward:
         model.config.dropout_rate = 0.5
         monkeypatch.setattr(embdistill.model, "dropout_mask", refuse)
         samples = mixed_batch()
-        for s in (samples, samples[0]):
+        for s in (samples, samples[:1]):
             _, cache = forward(model, s, temperature=2.0)
             assert cache.mask is None and cache.hidden is cache.hidden_act
         predict(model, samples)
+        predict(model, samples[0])
         class_distributions(model, samples)
         with pytest.raises(AssertionError, match="dropout_mask called"):
             forward(model, samples, rng=np.random.default_rng(0))
@@ -265,8 +269,7 @@ class TestBatchEngine:
         samples = [Sample(rng.integers(0, 50, size=int(n)), 0) for n in (1, 30, 9, 17, 40)]
         _, cache = forward(model, samples)
         for i, sample in enumerate(samples):
-            _, alone = forward(model, sample)
-            assert np.array_equal(cache.logits[i], alone.logits)
+            assert np.array_equal(cache.logits[i], _sample_logits(model, sample))
         assert predict(model, samples).tolist() == [predict(model, s) for s in samples]
 
     def test_batch_dropout_mask_equals_stacked_sample_masks(self):
@@ -279,8 +282,8 @@ class TestBatchEngine:
         stacked = [dropout_mask(6, 0.4, per_sample) for _ in samples]
         assert np.array_equal(cache.mask, np.stack(stacked))
         one = np.random.default_rng(5)
-        _, alone = forward(model, samples[0], rng=one)
-        assert np.array_equal(alone.mask, stacked[0])
+        _, alone = forward(model, samples[:1], rng=one)
+        assert np.array_equal(alone.mask, stacked[:1])
 
     def test_empty_batch_rejected(self):
         model = tiny_model(np.random.default_rng(35))
@@ -300,8 +303,9 @@ class TestBatchEngine:
 
 
 class TestLoneSample:
-    """A lone Sample on a model without an encoder runs its own short
-    forward path; it must give the bits of its row in any batch."""
+    """``predict`` on a lone Sample runs its own short path up to the
+    logits; on a model without an encoder it must give the bits of the
+    sample's row in any batch."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -313,14 +317,32 @@ class TestLoneSample:
             min_size=1, max_size=12,
         ))
         samples = SampleSet.of([Sample(np.array(t), 0) for t in token_lists])
-        rows = class_distributions(model, samples)
         logits = forward(model, samples)[1].logits
         for i in range(len(samples)):
-            y, _ = forward(model, samples[i])
-            assert y.shape == rows[i].shape
-            assert np.array_equal(y, rows[i])
-            assert predict(model, samples[i]) == int(rows[i].argmax())
+            alone = _sample_logits(model, samples[i])
+            assert alone.shape == logits[i].shape
+            assert np.array_equal(alone, logits[i])
             assert predict(model, samples[i]) == int(logits[i].argmax())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_encoder_model_argmax_equals_its_batch_argmax(self, data):
+        # a lone sample encodes only its own distinct tokens, so its
+        # logits may differ from its batch row in the last bits
+        model = data.draw(encoder_models())
+        token_lists = data.draw(st.lists(
+            st.lists(st.integers(0, len(model.embedding.vocab) - 1), min_size=1, max_size=45),
+            min_size=1, max_size=12,
+        ))
+        samples = SampleSet.of([Sample(np.array(t), 0) for t in token_lists])
+        logits = forward(model, samples)[1].logits
+        top_two = np.sort(logits, axis=1)[:, -2:]
+        clear = top_two[:, 1] - top_two[:, 0] > 1e-9
+        batch = predict(model, samples)
+        for i in range(len(samples)):
+            assert np.max(np.abs(_sample_logits(model, samples[i]) - logits[i])) < 1e-9
+            if clear[i]:
+                assert predict(model, samples[i]) == batch[i]
 
     def test_one_column_table_adds_rows_in_order(self):
         # numpy sums a one-column block pairwise; a batch adds row by row
@@ -328,8 +350,7 @@ class TestLoneSample:
         model = tiny_model(rng, vocab_size=20, n_embed=1)
         samples = [Sample(rng.integers(0, 20, size=30), 0), Sample(np.array([3]), 0)]
         _, cache = forward(model, samples)
-        _, alone = forward(model, samples[0])
-        assert np.array_equal(alone.pool, cache.pool[0])
+        assert np.array_equal(_sample_logits(model, samples[0]), cache.logits[0])
 
     def test_predict_builds_no_sample_set(self, monkeypatch):
         rng = np.random.default_rng(40)
@@ -347,27 +368,18 @@ class TestLoneSample:
     def test_predict_runs_no_softmax_and_builds_no_forward_cache(self, monkeypatch):
         rng = np.random.default_rng(42)
         encoder = tiny_model(rng, n_distill=3)
+        encoder.config.dropout_rate = 0.5
         models = [tiny_model(rng), fold_model(encoder), encoder]
         sample = Sample(np.array([0, 3, 3, 1]), 0)
         expected = [predict(m, sample) for m in models]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("softmax_t or ForwardCache called")
+            raise AssertionError("batch machinery called")
 
-        monkeypatch.setattr("embdistill.model.softmax_t", refuse)
-        monkeypatch.setattr("embdistill.model.ForwardCache", refuse)
+        for name in ("softmax_t", "ForwardCache", "_pool", "_dense", "affine_forward",
+                     "dropout_mask"):
+            monkeypatch.setattr(f"embdistill.model.{name}", refuse)
         assert [predict(m, sample) for m in models] == expected
-
-    def test_backward_refuses_a_lone_sample_cache(self):
-        model = tiny_model(np.random.default_rng(41))
-        sample = Sample(np.array([2, 0]), 1)
-        y, cache = forward(model, sample)
-        assert cache.samples is sample
-        with pytest.raises(DataError, match=r"SampleSet\.of\(\[sample\]\)"):
-            backward(model, cache, y)
-        samples = SampleSet.of(mixed_batch())
-        _, cache = forward(model, samples)
-        assert cache.batch is samples
 
 
 class TestLargestLogit:
@@ -425,8 +437,8 @@ class TestFoldEquivalence:
         for _ in range(50):
             length = int(rng.integers(1, 9))
             sample = Sample(rng.integers(0, 40, size=length), 0)
-            _, live_cache = forward(model, sample)
-            _, fold_cache = forward(folded, sample)
+            _, live_cache = forward(model, [sample])
+            _, fold_cache = forward(folded, [sample])
             assert np.max(np.abs(live_cache.logits - fold_cache.logits)) < 1e-5
             assert predict(model, sample) == predict(folded, sample)
 
@@ -441,18 +453,17 @@ class TestFoldEquivalence:
         ))
         samples = SampleSet.of([Sample(np.array(t), 0) for t in token_lists])
 
-        def centred_logits(m, s):
-            z = forward(m, s)[1].logits
+        def centred(z):
             return z - z.mean(axis=-1, keepdims=True)
 
-        live = centred_logits(model, samples)
-        assert np.max(np.abs(live - centred_logits(folded, samples))) < 1e-9
+        live = centred(forward(model, samples)[1].logits)
+        assert np.max(np.abs(live - centred(forward(folded, samples)[1].logits))) < 1e-9
         top_two = np.sort(live, axis=1)[:, -2:]
         clear = top_two[:, 1] - top_two[:, 0] > 1e-9
         assert np.array_equal(predict(model, samples)[clear], predict(folded, samples)[clear])
         for i in range(len(samples)):
-            alone = centred_logits(model, samples[i])
-            assert np.max(np.abs(alone - centred_logits(folded, samples[i]))) < 1e-9
+            alone = centred(_sample_logits(model, samples[i]))
+            assert np.max(np.abs(alone - centred(_sample_logits(folded, samples[i])))) < 1e-9
             if clear[i]:
                 assert predict(model, samples[i]) == predict(folded, samples[i])
 

@@ -379,6 +379,12 @@ class TestTrainTrial:
             assert float(fields[3]) == decay(0.5, "halve_every_3", epoch)
 
 
+def _one_blas_thread_objective(model, samples, indices, rng):
+    """The standard objective, in a process that must run one BLAS thread."""
+    assert training._OPENBLAS.scipy_openblas_get_num_threads64_() == 1
+    return standard_objective(model, samples, indices, rng)
+
+
 class TestGridSearch:
     def test_single_point_grid_returns_it(self):
         factory, splits = tiny_factory()
@@ -487,6 +493,24 @@ class TestGridSearch:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         grid = grid_search(factory, splits, protocol, jobs=8)
         assert asked == [2]
+        assert len(grid.entries) == 2
+
+    @pytest.mark.skipif(training._OPENBLAS is None, reason="numpy links no bundled OpenBLAS")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lanes_run_one_blas_thread(self, jobs):
+        # the lanes start from a process that runs two BLAS threads
+        factory, splits = tiny_factory()
+        protocol = TrainingProtocol(
+            learning_rates=(0.5, 0.1), decay_schemes=("constant",),
+            dropout_rates=(0.0,), batch_size=16, max_epochs=1,
+        )
+        blas = training._OPENBLAS
+        before = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(2)
+        try:
+            grid = grid_search(factory, splits, protocol, _one_blas_thread_objective, jobs=jobs)
+        finally:
+            blas.scipy_openblas_set_num_threads64_(before)
         assert len(grid.entries) == 2
 
 
