@@ -20,6 +20,8 @@ model's own ``config.dropout_rate``.
 from __future__ import annotations
 
 import ctypes
+import os
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -359,6 +361,49 @@ def _run_grid_group(args) -> list[GridEntry]:
     return entries
 
 
+def _forked_map(fn, items: list, jobs: int) -> list:
+    """``[fn(item) for item in items]`` on ``n = min(jobs, len(items))``
+    processes: the caller runs items 0, n, 2n, … and forks n - 1 copies of
+    itself, copy k running items k, k + n, ….  A copy inherits ``fn`` and
+    the items (nothing is pickled on the way in) and pickles back through a
+    pipe its results or its exception, which is raised here.  Every copy is
+    reaped, also when the caller's own share raised."""
+    n = min(jobs, len(items))
+    children = []  # (pid, read end of its pipe) per copy, in copy order
+    results = [None] * len(items)
+    shares = []
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    try:
+                        data = pickle.dumps([fn(item) for item in items[k::n]])
+                    except BaseException as exc:
+                        data = pickle.dumps(exc)
+                    with os.fdopen(write_fd, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results[::n] = [fn(item) for item in items[::n]]
+    finally:
+        for pid, read_fd in children:
+            with os.fdopen(read_fd, "rb") as fh:
+                data = fh.read()
+            os.waitpid(pid, 0)
+            shares.append(pickle.loads(data) if data else
+                          RuntimeError(f"grid lane process {pid} exited without a result"))
+    for k, share in enumerate(shares, 1):
+        if isinstance(share, BaseException):
+            raise share
+        results[k::n] = share
+    return results
+
+
 def grid_search(
     factory: ModelFactory,
     splits,
@@ -372,8 +417,13 @@ def grid_search(
     Ties break toward the smaller learning rate, then smaller dropout,
     then the protocol's scheme order.  Diverged points are recorded, not
     fatal; if nothing converges a DivergenceError lists every failure.
-    Grid points run one (lr, scheme) lane at a time, lr then scheme in
-    protocol order, dropout ascending within a lane.
+    Grid points run in (lr, scheme) lanes, lr then scheme in protocol
+    order, dropout ascending within a lane.  With ``jobs`` above 1 the
+    lanes are dealt round-robin over ``min(jobs, lanes)`` processes: the
+    caller runs a share itself and the rest run in forked copies of it
+    (the paper grid's 15 lanes split 8/7 over 2), and the entries come
+    back in lane order, the same as at ``jobs=1``.  Restarts, in
+    ``multi_restart``, run serially.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -388,16 +438,7 @@ def grid_search(
         for scheme in protocol.decay_schemes
     ]
     jobs_args = [(factory, splits, lane, objective, log_dir) for lane in lanes]
-
-    # fork starts every worker up front, so more than one per lane would idle
-    workers = min(jobs, len(lanes))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_group = list(pool.map(_run_grid_group, jobs_args))
-    else:
-        per_group = [_run_grid_group(a) for a in jobs_args]
+    per_group = _forked_map(_run_grid_group, jobs_args, jobs)
     entries = [e for group in per_group for e in group]
 
     converged = [e for e in entries if e.result is not None]

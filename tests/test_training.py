@@ -1,5 +1,5 @@
-import concurrent.futures
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -385,6 +385,30 @@ def _one_blas_thread_objective(model, samples, indices, rng):
     return standard_objective(model, samples, indices, rng)
 
 
+def _spy_on_fork(monkeypatch) -> list:
+    """Count the calling process's forks; returns the list of child pids."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _without_seconds(entries) -> list:
+    """Grid entries with each trial's wall time zeroed, the one field that
+    differs between two runs of the same grid."""
+    return [
+        dataclasses.replace(e, result=e.result and dataclasses.replace(e.result, seconds=0.0))
+        for e in entries
+    ]
+
+
 class TestGridSearch:
     def test_single_point_grid_returns_it(self):
         factory, splits = tiny_factory()
@@ -473,27 +497,107 @@ class TestGridSearch:
             learning_rates=(0.5,), decay_schemes=("constant",),
             dropout_rates=(0.0, 0.2), batch_size=16, max_epochs=2,
         )
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never reached
+        forks = _spy_on_fork(monkeypatch)
         grid = grid_search(factory, splits, protocol, jobs=4)
+        assert forks == []
         assert len(grid.entries) == 2
 
     def test_pool_has_one_worker_per_lane(self, monkeypatch):
+        # two lanes: the caller runs one, a single forked copy the other
         factory, splits = tiny_factory()
         protocol = TrainingProtocol(
             learning_rates=(0.5, 0.1), decay_schemes=("constant",),
             dropout_rates=(0.0,), batch_size=16, max_epochs=2,
         )
-        asked = []
-
-        class InlineExecutor(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-                super().__init__(max_workers=1)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        forks = _spy_on_fork(monkeypatch)
         grid = grid_search(factory, splits, protocol, jobs=8)
-        assert asked == [2]
+        assert len(forks) == 1
         assert len(grid.entries) == 2
+
+    @pytest.mark.parametrize("failing_lr", [0.1, 0.5], ids=["forked-lane", "callers-lane"])
+    def test_lane_error_reaches_the_caller_and_every_copy_is_reaped(
+        self, failing_lr, monkeypatch
+    ):
+        # at jobs=2 the caller runs the lr=0.5 lane and a forked copy the lr=0.1 one
+        factory, splits = tiny_factory()
+        protocol = TrainingProtocol(
+            learning_rates=(0.5, 0.1), decay_schemes=("constant",),
+            dropout_rates=(0.0,), batch_size=16, max_epochs=1,
+        )
+        real_train_trial = training.train_trial
+
+        def train_trial_failing_at_lr(factory, splits, cfg, *args):
+            if cfg.learning_rate == failing_lr:
+                raise DataError(f"bad lane at lr={cfg.learning_rate}")
+            return real_train_trial(factory, splits, cfg, *args)
+
+        monkeypatch.setattr(training, "train_trial", train_trial_failing_at_lr)
+        forks = _spy_on_fork(monkeypatch)
+        with pytest.raises(DataError, match=f"^bad lane at lr={failing_lr}$") as raised:
+            grid_search(factory, splits, protocol, jobs=2)
+        assert type(raised.value) is DataError
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_copy_that_dies_without_a_result_is_an_error(self, monkeypatch):
+        factory, splits = tiny_factory()
+        protocol = TrainingProtocol(
+            learning_rates=(0.5, 0.1), decay_schemes=("constant",),
+            dropout_rates=(0.0,), batch_size=16, max_epochs=1,
+        )
+        real_train_trial = training.train_trial
+
+        def train_trial_dying_at_lr(factory, splits, cfg, *args):
+            if cfg.learning_rate == 0.1:  # the forked copy's lane
+                os._exit(1)
+            return real_train_trial(factory, splits, cfg, *args)
+
+        monkeypatch.setattr(training, "train_trial", train_trial_dying_at_lr)
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            grid_search(factory, splits, protocol, jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_round_robin_lanes_match_serial_entries(self):
+        # 4 lanes on 3 processes: the caller runs lanes 0 and 3
+        factory, splits = tiny_factory()
+        protocol = TrainingProtocol(
+            learning_rates=(0.5, 0.1), decay_schemes=("constant", "inverse"),
+            dropout_rates=(0.0, 0.2), batch_size=16, max_epochs=2,
+        )
+        serial = grid_search(factory, splits, protocol, jobs=1)
+        forked = grid_search(factory, splits, protocol, jobs=3)
+        assert _without_seconds(forked.entries) == _without_seconds(serial.entries)
+        assert forked.best_config == serial.best_config
+
+    @pytest.mark.skipif(training._OPENBLAS is None, reason="numpy links no bundled OpenBLAS")
+    def test_forked_lanes_keep_the_bits_of_one_process(self):
+        # a 300->50 encoder on about 360 distinct words a batch: a shape whose
+        # GEMM bits depend on the BLAS thread count, so a lane left on two
+        # threads changes the second epoch's loss
+        splits, table = synthetic_probe_task(
+            seed=3, vocab_size=2000, seq_len=2, n_train=400, n_valid=100, n_test=100)
+        config = ModelConfig(n_embed=300, n_hidden=50, n_classes=5, n_distill=50,
+                             regime="encoding")
+        factory = ModelFactory(config, table=table)
+        protocol = TrainingProtocol(
+            learning_rates=(0.3, 0.1), decay_schemes=("constant",),
+            dropout_rates=(0.1,), batch_size=200, max_epochs=2,
+        )
+        blas = training._OPENBLAS
+        before = blas.scipy_openblas_get_num_threads64_()
+        results = []
+        try:
+            for jobs in (1, 2):
+                # every grid starts from a process that runs two BLAS threads
+                blas.scipy_openblas_set_num_threads64_(2)
+                results.append(grid_search(factory, splits, protocol, jobs=jobs))
+        finally:
+            blas.scipy_openblas_set_num_threads64_(before)
+        serial, forked = results
+        assert all(e.result is not None for e in serial.entries)
+        assert _without_seconds(forked.entries) == _without_seconds(serial.entries)
 
     @pytest.mark.skipif(training._OPENBLAS is None, reason="numpy links no bundled OpenBLAS")
     @pytest.mark.parametrize("jobs", [1, 2])
