@@ -271,8 +271,7 @@ def cmd_prepare(opts) -> int:
 
     # Parse everything before writing anything, so a bad line can never
     # leave a partial cache behind.
-    splits, sentences = read_splits(opts["train"], opts["valid"], opts["test"], ALL_PHRASES,
-                                    lowercase)
+    splits, sentences = read_splits(opts["train"], opts["valid"], opts["test"], lowercase)
 
     out = _out_dir(opts)
     with atomic_write(os.path.join(out, "vocab.txt"), "w") as fh:
@@ -371,12 +370,10 @@ def _outcome_payload(outcome: RegimeOutcome, protocol: TrainingProtocol,
 
 def _run_and_save_regime(opts, regime: Regime, splits: DatasetSplits, **regime_kwargs) -> int:
     protocol = _protocol(opts)
-    out = _out_dir(opts)
-    log_dir = os.path.join(out, "logs")
-    os.makedirs(log_dir, exist_ok=True)
-
-    outcome = run_regime(regime, splits, protocol, log_dir=log_dir, n_hidden=opts["hidden"],
-                         n_classes=opts["classes"], jobs=opts["jobs"],
+    out = opts["out"]
+    # run_regime makes the log directory, and so ``out``, after its checks
+    outcome = run_regime(regime, splits, protocol, log_dir=os.path.join(out, "logs"),
+                         n_hidden=opts["hidden"], n_classes=opts["classes"], jobs=opts["jobs"],
                          init_scale=opts["init_scale"], **regime_kwargs)
     best_path = os.path.join(out, "best.mdl")
     save_model(outcome.best_model, best_path)
@@ -454,8 +451,8 @@ def cmd_teacher(opts) -> int:
     )
     if cfg.learning_rate == 0:
         print("warning: learning rate 0 leaves parameters unchanged")
-    out = _out_dir(opts)
     model, result = train_teacher(splits, table, cfg, opts["hidden"], opts["classes"])
+    out = _out_dir(opts)
     save_model(model, os.path.join(out, "teacher.mdl"))
     payload = asdict(result)
     payload["toolkit_version"] = __version__

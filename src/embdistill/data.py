@@ -279,16 +279,14 @@ def read_splits(
     train_path,
     valid_path,
     test_path,
-    mode: str = ALL_PHRASES,
     lowercase: bool = False,
     vocab: Vocabulary | None = None,
 ) -> tuple[DatasetSplits, SampleSet]:
-    """Read three tree files once: the splits, the training set in the
-    requested phrase mode, and the training sentences, the training set
-    gathered at each tree's root.  Validation and test are always
-    sentences.  The vocabulary is built from the training trees unless
-    supplied; a supplied one is only looked up."""
-    _check_mode(mode)
+    """Read three tree files once: the splits, whose training set holds
+    every phrase, and the training sentences, the training set gathered
+    at each tree's root.  Validation and test are always sentences.  The
+    vocabulary is built from the training trees unless supplied; a
+    supplied one is only looked up."""
     with _gc_paused():
         train_trees = read_tree_file(train_path)
         valid_trees = read_tree_file(valid_path)
@@ -298,9 +296,7 @@ def read_splits(
         phrases, roots = _phrases(train_trees, vocab, lowercase)
         valid, test = (p[r] for p, r in (_phrases(valid_trees, vocab, lowercase),
                                          _phrases(test_trees, vocab, lowercase)))
-    sentences = phrases[roots]
-    train = phrases[:] if mode == ALL_PHRASES else sentences
-    return DatasetSplits(train, valid, test, vocab), sentences
+    return DatasetSplits(phrases[:], valid, test, vocab), phrases[roots]
 
 
 @contextmanager
@@ -315,14 +311,3 @@ def _gc_paused():
         if enabled:
             gc.enable()
 
-
-def load_splits(
-    train_path,
-    valid_path,
-    test_path,
-    mode: str = ALL_PHRASES,
-    lowercase: bool = False,
-    vocab: Vocabulary | None = None,
-) -> DatasetSplits:
-    """The splits ``read_splits`` reads."""
-    return read_splits(train_path, valid_path, test_path, mode, lowercase, vocab)[0]

@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -234,7 +235,8 @@ def run_regime(
     ``direct_small`` and ``matching_softmax`` train at the small width
     (a pretrained small table when given, else per-seed random vectors);
     ``encoding_distill`` trains encoder, classifier, and the large table
-    jointly, then folds for deployment accounting.
+    jointly, then folds for deployment accounting.  ``log_dir``, when
+    given, is made once every input has been checked.
     """
     vocab = splits.vocab
     _check_labels(splits, n_classes)
@@ -277,10 +279,17 @@ def run_regime(
                     f"soft targets were generated at T={soft_targets.temperature}, "
                     f"regime expects T={regime.temperature}"
                 )
+            if soft_targets.targets.shape[1] != n_classes:
+                raise ConfigError(
+                    f"soft targets have {soft_targets.targets.shape[1]} classes, "
+                    f"the model has {n_classes}"
+                )
             objective = MatchingSoftmaxObjective(soft_targets)
         else:
             objective = None
 
+    if log_dir is not None:
+        os.makedirs(log_dir, exist_ok=True)
     grid = grid_search(factory, splits, protocol, objective, log_dir, jobs)
     aggregate, best_model = multi_restart(
         factory, splits, grid.best_config, protocol.restart_seeds, objective, log_dir

@@ -60,10 +60,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def to_index(self, token: str) -> int:
-        """Index of ``token``, falling back to the unknown token."""
-        return self.index.get(token, self.unk_index)
-
 
 @dataclass
 class EmbeddingTable:
@@ -158,17 +154,16 @@ def align_to_vocab(
     Task words found in the pretrained table keep their vectors; missing
     words get uniform +-scale vectors so they stay trainable; the task
     UNK column is the pretrained UNK (the mean vector).  The result is
-    word-major, like every table that trains.
+    word-major, like every table the package builds.
     """
-    columns = np.array([pretrained.vocab.index.get(w, -1) for w in vocab.words])
-    columns[vocab.unk_index] = pretrained.vocab.unk_index
-    found = columns >= 0
-    matrix = np.empty((pretrained.dim, len(vocab)), order="F")
-    matrix[:, found] = pretrained.matrix[:, columns[found]]
+    rows = np.array([pretrained.vocab.index.get(w, -1) for w in vocab.words])
+    rows[vocab.unk_index] = pretrained.vocab.unk_index
+    found = rows >= 0
+    matrix = np.empty((len(vocab), pretrained.dim))  # one word per row
+    matrix[found] = pretrained.matrix.T[rows[found]]
     # one draw in vocabulary order: the values of one draw per missing word
-    draw = rng.uniform(-scale, scale, size=(len(vocab) - found.sum(), pretrained.dim))
-    matrix[:, ~found] = draw.T
-    return EmbeddingTable(vocab, matrix)
+    matrix[~found] = rng.uniform(-scale, scale, size=(len(vocab) - found.sum(), pretrained.dim))
+    return EmbeddingTable(vocab, matrix.T)
 
 
 def load_word2vec_text(path) -> EmbeddingTable:
@@ -177,8 +172,8 @@ def load_word2vec_text(path) -> EmbeddingTable:
     Vector values are parsed as float32 (the format's native precision).
     The unknown token gets the mean of all loaded vectors unless the file
     itself provides one.  The file is read in blocks of whole lines straight
-    into the returned (dim, |V|) float64 matrix, so memory stays about the
-    size of that matrix; a value that is not finite is a ParseError.
+    into the rows of the returned word-major float64 table, so memory stays
+    about the size of that table; a value that is not finite is a ParseError.
     """
     # a value past float32's range parses to inf, and inf and -inf average
     # to nan, without a warning: non-finite values are rejected below
@@ -197,14 +192,14 @@ def load_word2vec_text(path) -> EmbeddingTable:
         if count < 1 or dim < 1:
             raise ParseError(f"{path}:1: header counts must be positive")
         try:
-            # one spare column for the unknown token
-            matrix = np.empty((dim, count + 1))
+            # one word per row, and a spare row for the unknown token
+            matrix = np.empty((count + 1, dim))
         except (MemoryError, ValueError):
             raise ParseError(
                 f"{path}:1: header declares {count} vectors of dim {dim}, too many to hold"
             ) from None
 
-        index: dict[str, int] = {}  # word -> column, in file order
+        index: dict[str, int] = {}  # word -> row, in file order
         while lines := fh.readlines(_BLOCK_CHARS):
             n, k = len(index), len(lines)
             pairs = [line.split(None, 1) for line in lines]
@@ -217,7 +212,7 @@ def load_word2vec_text(path) -> EmbeddingTable:
                     block = np.loadtxt([pair[1] for pair in pairs], dtype=np.float32,
                                        comments=None, ndmin=2)
             if block is not None and block.shape == (k, dim):
-                matrix[:, n:n + k] = block.T
+                matrix[n:n + k] = block
                 index |= block_index
                 continue
             # else the per-line parse: it names a bad line and takes what float() takes
@@ -234,30 +229,28 @@ def load_word2vec_text(path) -> EmbeddingTable:
                 if token in index:
                     raise ParseError(f"{path}:{lineno}: duplicate word {token!r}")
                 try:
-                    matrix[:, len(index)] = np.array(parts[1:], dtype=np.float32)
+                    matrix[len(index)] = np.array(parts[1:], dtype=np.float32)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
                 index[token] = len(index)
         if len(index) != count:
             raise ParseError(f"{path}: header declares {count} vectors, file has {len(index)}")
 
-        # float32 values cannot add up past the float64 range, so a row's
-        # mean is finite exactly when all its values are
-        unk = matrix[:, :count].mean(axis=1)
+        # float32 values cannot add up past the float64 range, so a
+        # component's mean is finite exactly when all its values are.  Each
+        # component adds its values pairwise, as a (dim, count) table's row
+        # sum does, from a copy of 8 components (a cache line of each row)
+        unk = np.concatenate([np.ascontiguousarray(matrix[:count, j:j + 8].T).mean(axis=1)
+                              for j in range(0, dim, 8)])
         if not np.isfinite(unk).all():
-            column = np.flatnonzero(~np.isfinite(matrix[:, :count]).all(axis=0))[0]
-            raise ParseError(f"{path}:{column + 2}: non-finite vector value")
+            row = np.flatnonzero(~np.isfinite(matrix[:count]).all(axis=1))[0]
+            raise ParseError(f"{path}:{row + 2}: non-finite vector value")
 
     if UNK_TOKEN in index:
-        # drop the spare column in place, with no second copy of the
-        # table: row r moves r places to the left
-        flat = matrix.reshape(-1)
-        for r in range(1, dim):
-            flat[r * count:(r + 1) * count] = flat[r * (count + 1):r * (count + 1) + count]
-        matrix = flat[: dim * count].reshape(dim, count)
+        matrix = matrix[:count]
     else:
-        matrix[:, count] = unk
-    return EmbeddingTable(Vocabulary.from_index(index), matrix)
+        matrix[count] = unk
+    return EmbeddingTable(Vocabulary.from_index(index), matrix.T)
 
 
 def save_table(table: EmbeddingTable, path) -> None:

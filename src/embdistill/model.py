@@ -43,7 +43,6 @@ from .ops import (
     softmax_ce_backward,
     softmax_t,
     tanh_backward,
-    tanh_forward,
 )
 
 REGIME_DIRECT = "direct"
@@ -293,7 +292,7 @@ def _dense(model: ClassifierModel, pool, rng=None) -> tuple:
     """Hidden and output layers: the cache's hidden_act, mask, hidden and
     logits.  Dropout at ``model.config.dropout_rate`` runs exactly when a
     generator is given."""
-    hidden_act = tanh_forward(affine_forward(model.hidden_w, pool, model.hidden_b))
+    hidden_act = np.tanh(affine_forward(model.hidden_w, pool, model.hidden_b))
     hidden, mask = hidden_act, None
     if rng is not None and model.config.dropout_rate > 0.0:
         mask = dropout_mask(hidden_act.shape, model.config.dropout_rate, rng)
@@ -364,18 +363,15 @@ def backward_from_logit_grad(
     return Gradients(hidden_w, hidden_b, out_w, out_b, encoder_w, encoder_b, ids, d_rows)
 
 
-def backward(
-    model: ClassifierModel,
-    cache: ForwardCache,
-    target: np.ndarray,
-    temperature: float = 1.0,
-) -> Gradients:
-    """Gradients of the batch mean of cross_entropy(softmax_t(logits, T), target).
+def backward(model: ClassifierModel, cache: ForwardCache, target: np.ndarray) -> Gradients:
+    """Gradients of the batch mean of cross_entropy(softmax(logits), target).
 
     ``target`` holds one distribution per sample, shaped like
-    ``cache.logits``: one-hot or any distribution summing to 1.
+    ``cache.logits``: one-hot or any distribution summing to 1.  The
+    softened teacher term of matching softmax builds its own logit
+    gradient and calls ``backward_from_logit_grad``.
     """
-    dz = softmax_ce_backward(cache.logits, target, temperature)
+    dz = softmax_ce_backward(cache.logits, target, 1.0)
     return backward_from_logit_grad(model, cache, dz / len(cache.samples))
 
 

@@ -1,9 +1,9 @@
 """Dense forward/backward primitives for the classifier and encoder.
 
-Matrices are 2-D float arrays, vectors 1-D.  The affine, tanh, softmax,
-loss and dropout functions also take a batch: a (samples, units) matrix,
-one row per sample, treated row by row (the affine weight and bias
-gradients sum over the rows); ``affine_backward`` takes batches only.
+They work on batches: a (samples, units) matrix, one row per sample,
+treated row by row (the affine weight and bias gradients sum over the
+rows).  All but ``affine_backward`` also take a lone vector as one row.
+The tanh itself is ``np.tanh``; only its backward lives here.
 Everything is computed in float64 in memory; the binary file formats
 downcast to float32 at the I/O boundary.
 Functions here are pure: randomness always comes in through an explicit
@@ -88,10 +88,6 @@ def glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def tanh_forward(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def tanh_backward(y_out: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """upstream * (1 - y_out^2), with y_out the tanh *output*."""
     return upstream * (1.0 - y_out * y_out)
@@ -113,17 +109,14 @@ def softmax_t(z: np.ndarray, temperature: float) -> np.ndarray:
     return scaled
 
 
-def cross_entropy(y: np.ndarray, t: np.ndarray) -> float | np.ndarray:
-    """-sum_i t_i log y_i with y clamped at LOG_CLAMP before the log.
-
-    A float for one distribution; one loss per row for a batch.
-    """
+def cross_entropy(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """-sum_i t_i log y_i with y clamped at LOG_CLAMP before the log, one
+    loss per row of a batch."""
     if y.shape != t.shape:
         raise DimensionError(
             f"cross_entropy: y has dim {y.shape}, target has dim {t.shape}"
         )
-    losses = -(t * np.log(np.maximum(y, LOG_CLAMP))).sum(axis=-1)
-    return float(losses) if losses.ndim == 0 else losses
+    return -(t * np.log(np.maximum(y, LOG_CLAMP))).sum(axis=-1)
 
 
 def softmax_ce_backward(z: np.ndarray, t: np.ndarray, temperature: float) -> np.ndarray:
@@ -153,7 +146,5 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape)
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)

@@ -125,7 +125,7 @@ def standard_objective(model, samples, indices, rng):
     """Cross-entropy against the one-hot labels at temperature 1."""
     y, cache = forward(model, samples, temperature=1.0, rng=rng)
     targets = one_hot(cache.samples.labels, model.config.n_classes)
-    return cross_entropy(y, targets), backward(model, cache, targets, temperature=1.0)
+    return cross_entropy(y, targets), backward(model, cache, targets)
 
 
 def apply_update(model: ClassifierModel, grads: Gradients, lr: float) -> None:
@@ -332,9 +332,8 @@ class GridSearchResult:
     best_result: TrialResult
 
 
-def _run_grid_group(args) -> list[GridEntry]:
+def _run_grid_group(factory, splits, configs, objective, log_dir) -> list[GridEntry]:
     """One (lr, scheme) lane: dropout ascending with underfit pruning."""
-    factory, splits, configs, objective, log_dir = args
     chance = 1.0 / factory.config.n_classes
     entries: list[GridEntry] = []
     prune_from: float | None = None
@@ -437,8 +436,9 @@ def grid_search(
         for lr in protocol.learning_rates
         for scheme in protocol.decay_schemes
     ]
-    jobs_args = [(factory, splits, lane, objective, log_dir) for lane in lanes]
-    per_group = _forked_map(_run_grid_group, jobs_args, jobs)
+    # looked up at each call, so a wrapper installed on the module runs
+    per_group = _forked_map(
+        lambda lane: _run_grid_group(factory, splits, lane, objective, log_dir), lanes, jobs)
     entries = [e for group in per_group for e in group]
 
     converged = [e for e in entries if e.result is not None]

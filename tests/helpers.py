@@ -14,8 +14,8 @@ from hypothesis.extra.numpy import arrays
 from embdistill.data import DatasetSplits, LabeledTree, Sample, SampleSet
 from embdistill.embeddings import EmbeddingTable, EncoderLayer, Vocabulary
 from embdistill.errors import DimensionError
-from embdistill.model import ClassifierModel, ModelConfig, backward, forward
-from embdistill.ops import affine_forward, cross_entropy, tanh_forward
+from embdistill.model import ClassifierModel, ModelConfig, backward_from_logit_grad, forward
+from embdistill.ops import affine_forward, cross_entropy, softmax_ce_backward
 
 FD_STEP = 1e-3
 FD_TOL = 1e-4
@@ -62,7 +62,7 @@ def encode(enc: EncoderLayer, table: EmbeddingTable, word_index: int) -> np.ndar
         raise DimensionError(
             f"encoder expects {enc.n_embed}-dim vectors, table has dim {table.dim}"
         )
-    return tanh_forward(affine_forward(enc.w_encode, lookup(table, word_index), enc.b_encode))
+    return np.tanh(affine_forward(enc.w_encode, lookup(table, word_index), enc.b_encode))
 
 
 def model_loss(model: ClassifierModel, sample, target, temperature: float) -> float:
@@ -98,7 +98,9 @@ def check_model_gradients(
     if isinstance(sample, Sample):
         sample, target = SampleSet.of([sample]), target[None]
     _, cache = forward(model, sample, temperature)
-    analytic = dense_gradients(model, backward(model, cache, target, temperature))
+    # the logit gradient at T, composed as MatchingSoftmaxObjective does
+    dz = softmax_ce_backward(cache.logits, target, temperature) / len(cache.samples)
+    analytic = dense_gradients(model, backward_from_logit_grad(model, cache, dz))
     worst = 0.0
     for name, param in model.named_parameters():
         flat = param.ravel()

@@ -651,7 +651,7 @@ class TestErrorContract:
         assert run_cli(command, "--data", data, *inputs, "--classes", "3", "--out", out) == 2
         err = capsys.readouterr().err
         assert err == "error: the model has 3 classes, but the data has label 4\n"
-        assert not list(out.rglob("*.log")) and not list(out.rglob("*.mdl"))
+        assert not out.exists()
 
     def test_duplicate_table_token_exit_3(self, toy_corpus, tmp_path, capsys):
         data = prepare(toy_corpus, tmp_path / "data")
@@ -1155,6 +1155,51 @@ class TestOptionsBelowTheirRange:
                        "--init-scale", "0", "--lr", "0.5", "--decay", "constant",
                        "--dropout", "0", "--epochs", "1", "--seeds", "0",
                        "--out", tmp_path / "out") == 0
+
+
+class TestSoftTargetsCheckedBeforeOutput:
+    """Every check of matching softmax's soft targets runs before
+    ``--out`` is made: a refused run exits 2, names what is wrong and
+    leaves no directory."""
+
+    @pytest.fixture(scope="class")
+    def soft(self, tmp_path_factory):
+        """Prepared data and one teacher's soft targets at T=2, for the
+        phrase training set and for the sentences alone."""
+        root = tmp_path_factory.mktemp("regime_checks")
+        write_vectors(root / "large_vecs.txt", write_toy_corpus(root, n_train=30), dim=12)
+        data = prepare(root, root / "data")
+        assert run_cli("teacher", "--data", data, "--embeddings", root / "large_vecs.txt",
+                       "--hidden", "6", "--lr", "0.5", "--epochs", "1", "--batch-size", "8",
+                       "--out", root / "teacher") == 0
+        for name, extra in (("phrases", []), ("sentences", ["--sentences-only"])):
+            assert run_cli("soft-targets", "--data", data, "--teacher",
+                           root / "teacher" / "teacher.mdl", "--temperature", "2", *extra,
+                           "--out", root / name) == 0
+        n_phrases = len((data / "train.samples").read_text().splitlines())
+        n_sentences = len((data / "train_sentence.samples").read_text().splitlines())
+        return root, n_phrases, n_sentences
+
+    @pytest.mark.parametrize("case", ["temperature", "sentence targets", "target classes"])
+    def test_exit_2_before_output(self, soft, tmp_path, capsys, case):
+        root, n_phrases, n_sentences = soft
+        phrase_targets = root / "phrases" / "soft_targets.sft"
+        argv, message = {
+            "temperature": ([phrase_targets, "--temperature", "3"],
+                            "soft targets were generated at T=2.0, regime expects T=3.0"),
+            "sentence targets": ([root / "sentences" / "soft_targets.sft"],
+                                 f"{n_sentences} soft-target rows for {n_phrases} "
+                                 f"training samples"),
+            "target classes": ([phrase_targets, "--classes", "7"],
+                               "soft targets have 5 classes, the model has 7"),
+        }[case]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("train", "--regime", "matching-softmax", "--embed-dim", "4",
+                       "--soft-targets", *argv, "--data", root / "data", "--epochs", "1",
+                       "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestDeterminism:

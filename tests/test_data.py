@@ -18,7 +18,6 @@ from embdistill.data import (
     SampleSet,
     build_vocab,
     extract_samples,
-    load_splits,
     parse_tree,
     read_splits,
     read_tree_file,
@@ -145,14 +144,15 @@ class TestExtractSamples:
         samples = extract_samples(self.tree, ALL_PHRASES, self.vocab)
         assert len(samples) == 3
         got = [(list(s.tokens), s.label) for s in samples]
-        a, b = self.vocab.to_index("A"), self.vocab.to_index("B")
+        a, b = (self.vocab.index.get(t, self.vocab.unk_index) for t in "AB")
         assert got == [([a, b], 3), ([a], 2), ([b], 4)]
 
     def test_sentence_only_single_sample(self):
         samples = extract_samples(self.tree, SENTENCE_ONLY, self.vocab)
         assert len(samples) == 1
         assert samples[0].label == 3
-        assert list(samples[0].tokens) == [self.vocab.to_index("A"), self.vocab.to_index("B")]
+        assert list(samples[0].tokens) == [self.vocab.index.get(t, self.vocab.unk_index)
+                                           for t in "AB"]
 
     def test_balanced_seven_node_tree(self):
         tree = parse_tree("(3 (2 (1 a) (2 b)) (4 (3 c) (4 d)))")
@@ -183,7 +183,8 @@ class TestExtractSamples:
         vocab = build_vocab([tree], lowercase)
 
         def ids(tokens):
-            return [vocab.to_index(t.lower() if lowercase else t) for t in tokens]
+            return [vocab.index.get(t.lower() if lowercase else t, vocab.unk_index)
+                    for t in tokens]
 
         expected = [(ids(leaf_tokens(node)), node.label) for node in preorder_nodes(tree)]
         samples = extract_samples(tree, ALL_PHRASES, vocab, lowercase)
@@ -233,7 +234,7 @@ class TestLoadSplits:
         self._write(train, train_lines)
         self._write(valid, ["(3 (2 A) (4 B))"])
         self._write(test, ["(0 X)"])
-        splits = load_splits(train, valid, test, ALL_PHRASES)
+        splits = read_splits(train, valid, test)[0]
         expected = sum(count_nodes(parse_tree(t)) for t in train_lines)
         assert len(splits.train) == expected
         assert len(splits.valid) == 1
@@ -244,7 +245,7 @@ class TestLoadSplits:
         other = tmp_path / "other.txt"
         self._write(train, ["(3 (2 A) (4 B))"])
         self._write(other, ["(3 (2 A) (4 B))", "(1 (0 A) (2 B))"])
-        splits = load_splits(train, other, other, ALL_PHRASES)
+        splits = read_splits(train, other, other)[0]
         # one sample per tree, never per node
         assert len(splits.valid) == 2
         assert len(splits.test) == 2
@@ -254,25 +255,16 @@ class TestLoadSplits:
         self._write(paths[0], ["(3 (2 A) (4 (1 B) (0 c)))", "(1 X)", "(2 (1 a) (2 A))"])
         self._write(paths[1], ["(3 (2 A) (4 Z))"])
         self._write(paths[2], ["(0 X)", "(1 (0 B) (1 q))"])
-        splits, sentences = read_splits(*paths, ALL_PHRASES, lowercase=True)
-        for mode, train in ((ALL_PHRASES, splits.train), (SENTENCE_ONLY, sentences)):
-            loaded = load_splits(*paths, mode, lowercase=True)
-            assert loaded.vocab.words == splits.vocab.words
-            for got, want in ((train, loaded.train), (splits.valid, loaded.valid),
-                              (splits.test, loaded.test)):
-                assert got.tokens.tolist() == want.tokens.tolist()
-                assert got.lengths.tolist() == want.lengths.tolist()
-                assert got.labels.tolist() == want.labels.tolist()
+        splits, sentences = read_splits(*paths, lowercase=True)
+        trees = read_tree_file(paths[0])
+        for mode, got in ((ALL_PHRASES, splits.train), (SENTENCE_ONLY, sentences)):
+            want = [s for t in trees for s in extract_samples(t, mode, splits.vocab, True)]
+            assert [s.tokens.tolist() for s in got] == [s.tokens.tolist() for s in want]
+            assert [s.label for s in got] == [s.label for s in want]
         # a tree's sentence is its first phrase, the root
         roots = np.cumsum([0, 5, 1])
         assert [s.tokens.tolist() for s in sentences] == [
             splits.train[int(i)].tokens.tolist() for i in roots]
-
-    def test_unknown_mode(self, tmp_path):
-        path = tmp_path / "t.txt"
-        self._write(path, ["(1 X)"])
-        with pytest.raises(ConfigError, match="unknown sample mode"):
-            load_splits(path, path, path, "phrases")
 
     def test_builds_no_per_phrase_sample(self, tmp_path, monkeypatch):
         paths = [tmp_path / f"{name}.txt" for name in ("train", "valid", "test")]
@@ -284,7 +276,7 @@ class TestLoadSplits:
             raise AssertionError("a per-phrase Sample was built")
 
         monkeypatch.setattr(data, "Sample", refuse)
-        splits, sentences = read_splits(*paths, ALL_PHRASES)
+        splits, sentences = read_splits(*paths)
         assert splits.train.lengths.tolist() == [3, 1, 2, 1, 1, 1]
         assert sentences.labels.tolist() == [3, 1]
 
@@ -305,13 +297,12 @@ class TestLoadSplits:
                 return SampleSet.of([s for t in trees
                                      for s in extract_samples(t, mode, expected_vocab, lowercase)])
 
-            for mode in (ALL_PHRASES, SENTENCE_ONLY):
-                splits, sentences = read_splits(*paths, mode, lowercase, vocab)
-                assert splits.vocab.words == expected_vocab.words
-                assert_same_set(splits.train, expected(train, mode))
-                assert_same_set(sentences, expected(train, SENTENCE_ONLY))
-                assert_same_set(splits.valid, expected(valid, SENTENCE_ONLY))
-                assert_same_set(splits.test, expected(test, SENTENCE_ONLY))
+            splits, sentences = read_splits(*paths, lowercase, vocab)
+            assert splits.vocab.words == expected_vocab.words
+            assert_same_set(splits.train, expected(train, ALL_PHRASES))
+            assert_same_set(sentences, expected(train, SENTENCE_ONLY))
+            assert_same_set(splits.valid, expected(valid, SENTENCE_ONLY))
+            assert_same_set(splits.test, expected(test, SENTENCE_ONLY))
         if supplied:  # only looked up, never extended
             assert vocab.index == index and vocab.words == list(index)
 

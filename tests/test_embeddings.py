@@ -48,8 +48,8 @@ class TestVocabulary:
 
     def test_oov_maps_to_unk(self):
         v = Vocabulary.from_words(["a"])
-        assert v.to_index("a") == 0
-        assert v.to_index("zebra") == v.unk_index
+        assert v.index.get("a", v.unk_index) == 0
+        assert v.index.get("zebra", v.unk_index) == v.unk_index
 
     def test_bijection(self):
         v = Vocabulary.from_words(["x", "y", "z"])
@@ -255,7 +255,7 @@ class TestWord2vecStreaming:
             tokens = tokens + [UNK_TOKEN]
             expected = np.hstack([expected, expected.mean(axis=1, keepdims=True)])
         assert table.vocab.words == tokens
-        assert table.matrix.flags.c_contiguous
+        assert table.matrix.T.flags.c_contiguous
         assert np.array_equal(table.matrix, expected)
 
     @pytest.mark.parametrize("unk_at", [None, 1234])
@@ -355,7 +355,7 @@ class TestWord2vecBlocks:
         lines = _long_file_lines()
         table = load_word2vec_text(self._write(tmp_path, lines))
         assert table.vocab.words == [f"w{i}" for i in range(1500)] + [UNK_TOKEN]
-        assert table.matrix.flags.c_contiguous
+        assert table.matrix.T.flags.c_contiguous
         assert np.array_equal(table.matrix, _per_line_parse(lines))
 
     def test_underscore_value_in_a_later_block(self, tmp_path):

@@ -26,6 +26,7 @@ from embdistill.model import (
     ModelConfig,
     _sample_logits,
     backward,
+    backward_from_logit_grad,
     class_distributions,
     count_parameters,
     evaluate_accuracy,
@@ -36,7 +37,7 @@ from embdistill.model import (
     save_model,
 )
 from embdistill.distillation import fold_model
-from embdistill.ops import dropout_mask, glorot, one_hot, softmax_t
+from embdistill.ops import dropout_mask, glorot, one_hot, softmax_ce_backward, softmax_t
 
 from helpers import (
     check_model_gradients,
@@ -237,15 +238,20 @@ class TestBatchEngine:
                            n_hidden=4, n_classes=4)
         samples = mixed_batch()
         targets = soft_rows(rng, 3, 4)
+
+        def grads_at_t2(cache, rows):  # as MatchingSoftmaxObjective composes them
+            dz = softmax_ce_backward(cache.logits, rows, 2.0) / len(cache.samples)
+            return dense_gradients(model, backward_from_logit_grad(model, cache, dz))
+
         y, cache = forward(model, samples, temperature=2.0)
-        batch_grads = dense_gradients(model, backward(model, cache, targets, 2.0))
+        batch_grads = grads_at_t2(cache, targets)
         mean = {name: np.zeros_like(g) for name, g in batch_grads.items()}
         for i, sample in enumerate(samples):
             y_i, cache_i = forward(model, [sample], temperature=2.0)
             assert y_i.shape == (1, 4) and cache_i.logits.shape == (1, 4)
             assert np.max(np.abs(cache.logits[i] - cache_i.logits[0])) < 1e-12
             assert np.max(np.abs(y[i] - y_i[0])) < 1e-12
-            grads_i = dense_gradients(model, backward(model, cache_i, targets[i : i + 1], 2.0))
+            grads_i = grads_at_t2(cache_i, targets[i : i + 1])
             for name, g in grads_i.items():
                 mean[name] += g / len(samples)
         for name, g in batch_grads.items():

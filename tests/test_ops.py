@@ -11,7 +11,6 @@ from embdistill.ops import (
     softmax_ce_backward,
     softmax_t,
     tanh_backward,
-    tanh_forward,
 )
 
 from helpers import FD_STEP, FD_TOL, central_difference, rel_error
@@ -110,22 +109,16 @@ class TestAffine:
 
 class TestTanh:
     def test_zero_and_unit_slope(self):
-        assert np.array_equal(tanh_forward(np.zeros(4)), np.zeros(4))
         u = np.array([0.3, -1.2, 2.0])
         assert np.array_equal(tanh_backward(np.zeros(3), u), u)
-
-    def test_saturation(self):
-        out = tanh_forward(np.array([20.0, -20.0, 25.0]))
-        assert np.all(np.abs(np.abs(out) - 1.0) < 1e-8)
-        assert np.all(np.abs(out) < 1.0) or np.all(np.isfinite(out))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.normal(size=6)
             probe = rng.normal(size=6)
-            ana = tanh_backward(tanh_forward(x), probe)
-            num = central_difference(lambda xi: probe @ tanh_forward(xi), x.copy())
+            ana = tanh_backward(np.tanh(x), probe)
+            num = central_difference(lambda xi: probe @ np.tanh(xi), x.copy())
             assert np.all(rel_error(ana, num) < FD_TOL)
 
 
