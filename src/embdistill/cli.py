@@ -655,7 +655,7 @@ def _commands() -> dict:
         "seeds": _Option([int], grid.restart_seeds, "comma-separated restart seeds", least=0),
         "hidden": _Option(int, 50, "hidden layer width", least=1),
         "classes": classes, "init_scale": init_scale, "sentences_only": sentences_only,
-        "seed": seed, "jobs": _Option(int, 1, "max concurrent grid lanes", least=1),
+        "seed": seed, "jobs": _Option(int, 1, "max processes for lanes and restarts", least=1),
         "out": out,
     }
     return {

@@ -32,6 +32,7 @@ from .ops import cross_entropy, one_hot, softmax_ce_backward, softmax_t
 from .training import (
     AggregateResult,
     GridSearchResult,
+    LaneProcesses,
     ModelFactory,
     TrainConfig,
     TrainingProtocol,
@@ -236,8 +237,14 @@ def run_regime(
     (a pretrained small table when given, else per-seed random vectors);
     ``encoding_distill`` trains encoder, classifier, and the large table
     jointly, then folds for deployment accounting.  ``log_dir``, when
-    given, is made once every input has been checked.
+    given, is made once every input has been checked.  With ``jobs``
+    above 1 the regime forks ``min(jobs, max(lanes, restarts)) - 1``
+    copies of the caller once, and the caller and the copies run first
+    the grid lanes and then the restarts, each dealt round-robin; the
+    results are those of ``jobs=1``.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     vocab = splits.vocab
     _check_labels(splits, n_classes)
     if regime.tag == ENCODING_DISTILL:
@@ -290,10 +297,12 @@ def run_regime(
 
     if log_dir is not None:
         os.makedirs(log_dir, exist_ok=True)
-    grid = grid_search(factory, splits, protocol, objective, log_dir, jobs)
-    aggregate, best_model = multi_restart(
-        factory, splits, grid.best_config, protocol.restart_seeds, objective, log_dir
-    )
+    n = min(jobs, max(len(protocol.grid_lanes()), len(protocol.restart_seeds)))
+    with LaneProcesses(n, factory, splits, objective, log_dir) as lanes:
+        grid = grid_search(factory, splits, protocol, objective, log_dir, jobs, lanes)
+        aggregate, best_model = multi_restart(
+            factory, splits, grid.best_config, protocol.restart_seeds, objective, log_dir, lanes
+        )
     folded = fold_model(best_model) if regime.tag == ENCODING_DISTILL else None
     deployed = count_parameters(folded if folded is not None else best_model)
     return RegimeOutcome(regime, grid, aggregate, best_model, folded, deployed)

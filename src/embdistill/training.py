@@ -7,7 +7,11 @@ winning configuration under different seeds.
 
 Every trial is fully determined by (configuration, seed, data): model
 initialization draws from ``default_rng([seed, 0])`` and the training
-loop (shuffling, dropout) from ``default_rng([seed, 1])``.
+loop (shuffling, dropout) from ``default_rng([seed, 1])``.  So trials
+can run in any process: with more than one job, ``LaneProcesses`` forks
+copies of the caller once per search, and the grid lanes and then the
+restarts are dealt round-robin over the caller and its copies, with the
+results of one process.
 
 An objective is called once per mini-batch as
 ``objective(model, samples, indices, rng)``, where ``samples`` is the
@@ -19,6 +23,7 @@ model's own ``config.dropout_rate``.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import pickle
@@ -209,6 +214,15 @@ class ModelFactory:
             table = init_random_table(self.vocab, config.n_embed, self.init_scale, rng)
         return ClassifierModel.initialize(config, table, rng)
 
+    def rebuild(self, dropout_rate: float, arrays: dict) -> ClassifierModel:
+        """The model a build at ``dropout_rate`` makes, holding ``arrays``
+        (named as in ``named_parameters``) in place of its own."""
+        arrays = dict(arrays)
+        vocab = self.vocab if self.table is None else self.table.vocab
+        table = EmbeddingTable(vocab, arrays.pop("embedding"))
+        return ClassifierModel.from_arrays(replace(self.config, dropout_rate=dropout_rate),
+                                           table, **arrays)
+
 
 def train_trial(
     factory: ModelFactory,
@@ -220,11 +234,11 @@ def train_trial(
     """Train one configuration to its early-stopping point.
 
     Keeps the parameters of the best-validation epoch in one snapshot
-    buffer, which each improving epoch overwrites (so a regime run holds
-    at most four copies of the table: the caller's, the best restart's,
-    the trial's and its snapshot), and returns the model restored to
-    them; the test split is evaluated once, on the restored model, so a
-    later ``eval`` reproduces the reported accuracy.  The optional log
+    buffer, which each improving epoch overwrites (so each process of a
+    regime run holds at most four copies of the table: the caller's, the
+    best restart's, the trial's and its snapshot), and returns the model
+    restored to them; the test split is evaluated once, on the restored
+    model, so a later ``eval`` reproduces the reported accuracy.  The optional log
     gets one tab-separated line per epoch: epoch, train_loss, valid_acc,
     lr, seconds.
     """
@@ -317,6 +331,20 @@ class TrainingProtocol:
                     f"unknown decay scheme {scheme!r}, expected one of {DECAY_SCHEMES}"
                 )
 
+    def grid_lanes(self) -> list[list[TrainConfig]]:
+        """The grid's points in (lr, scheme) lanes, lr then scheme in
+        protocol order, dropout ascending within a lane."""
+        return [
+            [
+                TrainConfig(learning_rate=lr, decay_scheme=scheme, batch_size=self.batch_size,
+                            max_epochs=self.max_epochs, dropout_rate=rate,
+                            seed=self.grid_seed, patience=self.patience)
+                for rate in sorted(self.dropout_rates)
+            ]
+            for lr in self.learning_rates
+            for scheme in self.decay_schemes
+        ]
+
 
 @dataclass
 class GridEntry:
@@ -360,47 +388,130 @@ def _run_grid_group(factory, splits, configs, objective, log_dir) -> list[GridEn
     return entries
 
 
-def _forked_map(fn, items: list, jobs: int) -> list:
-    """``[fn(item) for item in items]`` on ``n = min(jobs, len(items))``
-    processes: the caller runs items 0, n, 2n, … and forks n - 1 copies of
-    itself, copy k running items k, k + n, ….  A copy inherits ``fn`` and
-    the items (nothing is pickled on the way in) and pickles back through a
-    pipe its results or its exception, which is raised here.  Every copy is
-    reaped, also when the caller's own share raised."""
-    n = min(jobs, len(items))
-    children = []  # (pid, read end of its pipe) per copy, in copy order
-    results = [None] * len(items)
-    shares = []
-    try:
-        for k in range(1, n):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
+class LaneProcesses:
+    """The processes that run a search's trials: the caller and ``n - 1``
+    forked copies of it, made once and used for the grid lanes and then
+    for the restarts.
+
+    A copy inherits the factory, splits, objective and log directory at
+    the fork, so nothing of them is pickled; it then serves requests from
+    a pipe until the caller closes it.  A request carries only a share of
+    grid lanes (``TrainConfig`` lists) or of restart seeds, and the copy
+    pickles back the share's result, or the exception that stopped it,
+    which the caller raises.  ``close`` (also on leaving a ``with`` block)
+    ends and reaps every copy, also when the caller's own share raised.
+    At ``n = 1`` nothing forks.
+    """
+
+    def __init__(self, n: int, factory: ModelFactory, splits, objective, log_dir):
+        self.factory = factory
+        self.splits = splits
+        self.objective = objective
+        self.log_dir = log_dir
+        self.copies = []  # (pid, request writer, reply reader) per copy, in copy order
+        try:
+            for _ in range(1, n):
+                self.copies.append(self._fork())
+        except BaseException:
+            self.close()
+            raise
+        self.n = n
+
+    def __enter__(self) -> "LaneProcesses":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _fork(self) -> tuple:
+        request_fd, request_w = os.pipe()
+        reply_r, reply_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(request_w)
+                os.close(reply_r)
+                # so each copy's pipes end when the caller closes them,
+                # not only once the later copies have exited
+                for _, requests, replies in self.copies:
+                    requests.close()
+                    replies.close()
+                self._serve(request_fd, reply_fd)
+            finally:
+                os._exit(0)
+        os.close(request_fd)
+        os.close(reply_fd)
+        return pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb")
+
+    def _serve(self, request_fd: int, reply_fd: int) -> None:
+        with os.fdopen(request_fd, "rb") as requests, os.fdopen(reply_fd, "wb") as replies:
+            while True:
                 try:
-                    os.close(read_fd)
-                    try:
-                        data = pickle.dumps([fn(item) for item in items[k::n]])
-                    except BaseException as exc:
-                        data = pickle.dumps(exc)
-                    with os.fdopen(write_fd, "wb") as fh:
-                        fh.write(data)
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        results[::n] = [fn(item) for item in items[::n]]
-    finally:
-        for pid, read_fd in children:
-            with os.fdopen(read_fd, "rb") as fh:
-                data = fh.read()
+                    method, share, args = pickle.load(requests)
+                except EOFError:
+                    return
+                try:
+                    reply = getattr(self, method)(share, *args)
+                except BaseException as exc:
+                    reply = exc
+                # protocol 5 streams an array's buffer as it is, without a
+                # copy on either side of the pipe
+                pickle.dump(reply, replies, protocol=5)
+                replies.flush()
+
+    def _receive(self, pid, replies):
+        try:
+            reply = pickle.load(replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"lane process {pid} exited without a result") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def deal(self, method: str, items: list, *args):
+        """Run the named share method on ``items`` dealt round-robin: the
+        caller runs items 0, n, 2n, … and copy k items k, k + n, ….
+        Yields each share's result in process order, the caller's first;
+        a copy's result is read off its pipe only when it is asked for."""
+        for k, (_, requests, _) in enumerate(self.copies, 1):
+            pickle.dump((method, items[k::self.n], args), requests)
+            requests.flush()
+        yield getattr(self, method)(items[::self.n], *args)
+        for pid, _, replies in self.copies:
+            yield self._receive(pid, replies)
+
+    def close(self) -> None:
+        for _, requests, replies in self.copies:
+            with contextlib.suppress(BrokenPipeError):  # a request to a dead copy
+                requests.close()  # the copy's requests end
+            replies.close()  # a copy still writing gets a broken pipe
+        for pid, _, _ in self.copies:
             os.waitpid(pid, 0)
-            shares.append(pickle.loads(data) if data else
-                          RuntimeError(f"grid lane process {pid} exited without a result"))
-    for k, share in enumerate(shares, 1):
-        if isinstance(share, BaseException):
-            raise share
-        results[k::n] = share
-    return results
+        self.copies = []
+
+    # The share methods look ``_run_grid_group`` and ``train_trial`` up at
+    # each call, so a wrapper installed on the module runs in every process.
+
+    def grid_share(self, lanes: list) -> list[list[GridEntry]]:
+        return [_run_grid_group(self.factory, self.splits, lane, self.objective, self.log_dir)
+                for lane in lanes]
+
+    def restart_share(self, seeds: list, config: TrainConfig) -> tuple:
+        """One trial of ``config`` per seed: the trials, and the parameter
+        arrays of the first with the highest validation accuracy (None
+        without seeds).  Arrays, not the model: the caller has the
+        vocabulary."""
+        trials: list[TrialResult] = []
+        best_arrays = None
+        for seed in seeds:
+            log_path = None if self.log_dir is None else f"{self.log_dir}/restart_seed{seed}.log"
+            model, result = train_trial(self.factory, self.splits, replace(config, seed=seed),
+                                        self.objective, log_path)
+            if all(result.best_valid_accuracy > t.best_valid_accuracy for t in trials):
+                best_arrays = dict(model.named_parameters())
+            trials.append(result)
+            del model  # only the best restart's tables live through the next trial
+        return trials, best_arrays
 
 
 def grid_search(
@@ -410,35 +521,30 @@ def grid_search(
     objective=None,
     log_dir=None,
     jobs: int = 1,
+    lanes: LaneProcesses | None = None,
 ) -> GridSearchResult:
     """Train one trial per grid point and pick the validation winner.
 
     Ties break toward the smaller learning rate, then smaller dropout,
     then the protocol's scheme order.  Diverged points are recorded, not
     fatal; if nothing converges a DivergenceError lists every failure.
-    Grid points run in (lr, scheme) lanes, lr then scheme in protocol
-    order, dropout ascending within a lane.  With ``jobs`` above 1 the
-    lanes are dealt round-robin over ``min(jobs, lanes)`` processes: the
-    caller runs a share itself and the rest run in forked copies of it
-    (the paper grid's 15 lanes split 8/7 over 2), and the entries come
-    back in lane order, the same as at ``jobs=1``.  Restarts, in
-    ``multi_restart``, run serially.
+    Grid points run in the protocol's ``grid_lanes``.  The lanes are
+    dealt round-robin over the processes of ``lanes`` when given (a
+    regime's, which go on to run its restarts), else over
+    ``min(jobs, lanes)`` processes made for this call: the caller runs a
+    share itself and the rest run in forked copies of it (the paper
+    grid's 15 lanes split 8/7 over 2).  The entries come back in lane
+    order, the same as at ``jobs=1``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    lanes = [
-        [
-            TrainConfig(learning_rate=lr, decay_scheme=scheme, batch_size=protocol.batch_size,
-                        max_epochs=protocol.max_epochs, dropout_rate=rate,
-                        seed=protocol.grid_seed, patience=protocol.patience)
-            for rate in sorted(protocol.dropout_rates)
-        ]
-        for lr in protocol.learning_rates
-        for scheme in protocol.decay_schemes
-    ]
-    # looked up at each call, so a wrapper installed on the module runs
-    per_group = _forked_map(
-        lambda lane: _run_grid_group(factory, splits, lane, objective, log_dir), lanes, jobs)
+    groups = protocol.grid_lanes()
+    own = LaneProcesses(min(jobs, len(groups)), factory, splits, objective, log_dir) \
+        if lanes is None else contextlib.nullcontext(lanes)
+    with own as lanes:
+        per_group = [None] * len(groups)
+        for k, share in enumerate(lanes.deal("grid_share", groups)):
+            per_group[k::lanes.n] = share
     entries = [e for group in per_group for e in group]
 
     converged = [e for e in entries if e.result is not None]
@@ -479,11 +585,16 @@ def multi_restart(
     seeds=(0, 1, 2, 3, 4),
     objective=None,
     log_dir=None,
+    lanes: LaneProcesses | None = None,
 ) -> tuple[AggregateResult, ClassifierModel]:
     """Rerun the chosen configuration once per seed and aggregate.
 
-    Returns the statistics and the model of the best-validation seed
-    (the restart that deployment would keep).
+    Returns the statistics and the model of the best-validation seed,
+    the first in ``seeds`` order on a tie (the restart that deployment
+    would keep).  The seeds are dealt round-robin over the processes of
+    ``lanes`` when given (5 seeds split 3/2 over 2), else run in the
+    caller; each process sends back its trials and only its share's best
+    parameters, read once the caller's own share is done.
     """
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
@@ -491,27 +602,27 @@ def multi_restart(
     if not seeds:
         raise ConfigError("at least one restart seed is required")
 
-    trials: list[TrialResult] = []
-    best_model = None
-    best_valid = -1.0
-    best_seed = seeds[0]
-    for seed in seeds:
-        cfg = replace(config, seed=seed)
-        log_path = None if log_dir is None else f"{log_dir}/restart_seed{seed}.log"
-        model, result = train_trial(factory, splits, cfg, objective, log_path)
-        trials.append(result)
-        if result.best_valid_accuracy > best_valid:
-            best_valid = result.best_valid_accuracy
-            best_model = model
-            best_seed = seed
+    if lanes is None:
+        lanes = LaneProcesses(1, factory, splits, objective, log_dir)
+    trials: list[TrialResult] = [None] * len(seeds)
+
+    def rank(i):
+        return trials[i].best_valid_accuracy, -i
+
+    best = best_arrays = None
+    for k, (share, arrays) in enumerate(lanes.deal("restart_share", seeds, config)):
+        trials[k::lanes.n] = share
+        top = max(range(k, len(seeds), lanes.n), key=rank, default=None)
+        if top is not None and (best is None or rank(top) > rank(best)):
+            best, best_arrays = top, arrays
+    best_model = factory.rebuild(config.dropout_rate, best_arrays)
 
     accs = np.array([t.test_accuracy for t in trials])
-    restart_acc = next(t.test_accuracy for t in trials if t.seed == best_seed)
     aggregate = AggregateResult(
         mean_accuracy=float(accs.mean()),
         std_accuracy=float(accs.std()),
-        restart_seed=best_seed,
-        restart_test_accuracy=restart_acc,
+        restart_seed=seeds[best],
+        restart_test_accuracy=trials[best].test_accuracy,
         seeds=seeds,
         trials=trials,
     )

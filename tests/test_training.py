@@ -7,7 +7,15 @@ import pytest
 
 from embdistill import training
 from embdistill.data import DatasetSplits, Sample
-from embdistill.distillation import MatchingSoftmaxObjective, SoftTargetSet
+from embdistill.distillation import (
+    DIRECT_SMALL,
+    ENCODING_DISTILL,
+    MATCHING_SOFTMAX,
+    MatchingSoftmaxObjective,
+    Regime,
+    SoftTargetSet,
+    run_regime,
+)
 from embdistill.embeddings import init_random_table
 from embdistill.errors import ConfigError, DataError, DivergenceError
 from embdistill.model import ClassifierModel, ModelConfig, evaluate_accuracy, forward, backward
@@ -655,6 +663,160 @@ class TestMultiRestart:
         cfg = TrainConfig(learning_rate=0.5, max_epochs=2, batch_size=16)
         with pytest.raises(ConfigError, match="distinct"):
             multi_restart(factory, splits, cfg, seeds=(0, 0, 1, 2, 3))
+
+
+def _record_callers_seeds(monkeypatch) -> list:
+    """The seed of every trial the calling process trains; a forked copy's
+    calls land in its own copy of the list."""
+    seeds = []
+    real_train_trial = training.train_trial
+
+    def recording_train_trial(factory, splits, cfg, *args):
+        seeds.append(cfg.seed)
+        return real_train_trial(factory, splits, cfg, *args)
+
+    monkeypatch.setattr(training, "train_trial", recording_train_trial)
+    return seeds
+
+
+def _probe_regime_inputs(tag):
+    """The 300->50 encoder shape of the forked-lanes bits test, or a
+    matching-softmax regime on the same task, with restart seeds whose
+    best validation accuracy sits at position 1 and is tied later on."""
+    splits, table = synthetic_probe_task(
+        seed=3, vocab_size=2000, seq_len=2, n_train=400, n_valid=100, n_test=100)
+    protocol = TrainingProtocol(
+        learning_rates=(0.3, 0.1), decay_schemes=("constant",), dropout_rates=(0.1,),
+        batch_size=200, max_epochs=2, restart_seeds=(5, 4, 7, 6),
+    )
+    if tag == ENCODING_DISTILL:
+        return splits, protocol, dict(table=table, distill_dim=50)
+    rows = np.full((len(splits.train), 5), 0.05)
+    rows[np.arange(len(splits.train)), splits.train.labels] = 0.8
+    return splits, protocol, dict(embed_dim=50, soft_targets=SoftTargetSet(2.0, rows))
+
+
+def _regime_bits(outcome) -> tuple:
+    """Everything a regime run returns, but wall times and model versions."""
+    aggregate = dataclasses.replace(outcome.aggregate, trials=[
+        dataclasses.replace(t, seconds=0.0) for t in outcome.aggregate.trials])
+    models = [m for m in (outcome.best_model, outcome.folded_model) if m is not None]
+    params = [(name, a.tobytes(), a.flags.f_contiguous)
+              for m in models for name, a in m.named_parameters()]
+    return _without_seconds(outcome.grid.entries), aggregate, params, outcome.deployed_parameters
+
+
+class TestRegimeLanes:
+    """A regime forks its lane processes once; they run the grid lanes and
+    then the restarts."""
+
+    @pytest.mark.skipif(training._OPENBLAS is None, reason="numpy links no bundled OpenBLAS")
+    @pytest.mark.parametrize("tag", [ENCODING_DISTILL, MATCHING_SOFTMAX])
+    def test_jobs_keep_the_bits_of_one_process(self, tag, monkeypatch):
+        splits, protocol, inputs = _probe_regime_inputs(tag)
+        callers_seeds = _record_callers_seeds(monkeypatch)
+        blas = training._OPENBLAS
+        before = blas.scipy_openblas_get_num_threads64_()
+        runs = {}
+        try:
+            for jobs in (1, 2, 3):
+                # every regime starts from a process that runs two BLAS threads
+                blas.scipy_openblas_set_num_threads64_(2)
+                callers_seeds.clear()
+                outcome = run_regime(Regime(tag), splits, protocol, n_hidden=50, n_classes=5,
+                                     jobs=jobs, **inputs)
+                runs[jobs] = outcome, list(callers_seeds)
+        finally:
+            blas.scipy_openblas_set_num_threads64_(before)
+        serial, _ = runs[1]
+        assert serial.aggregate.restart_seed == 4
+        assert all(e.result is not None for e in serial.grid.entries)
+        for jobs in (2, 3):
+            outcome, callers = runs[jobs]
+            assert _regime_bits(outcome) == _regime_bits(serial)
+            assert 4 not in callers  # the winning restart ran in a forked copy
+        assert 4 in runs[1][1]
+
+    def test_one_fork_serves_the_grid_and_the_restarts(self, monkeypatch):
+        splits, _ = toy_separable_task(np.random.default_rng(8), n_train=80, n_eval=24)
+        protocol = TrainingProtocol(
+            learning_rates=(0.5, 0.1), decay_schemes=("constant",), dropout_rates=(0.0,),
+            batch_size=16, max_epochs=2, restart_seeds=(5, 6, 7, 8, 9),
+        )
+        callers_seeds = _record_callers_seeds(monkeypatch)
+        forks = _spy_on_fork(monkeypatch)
+        # grid seed 0 for each lane the caller runs, then its restart seeds
+        for jobs, n_forks, callers in ((1, 0, [0, 0, 5, 6, 7, 8, 9]), (2, 1, [0, 5, 7, 9])):
+            forks.clear()
+            callers_seeds.clear()
+            outcome = run_regime(Regime(DIRECT_SMALL), splits, protocol, n_hidden=5,
+                                 embed_dim=4, jobs=jobs)
+            assert len(forks) == n_forks
+            assert callers_seeds == callers
+            assert [t.seed for t in outcome.aggregate.trials] == [5, 6, 7, 8, 9]
+
+    def test_jobs_below_one_rejected_before_output(self, tmp_path, monkeypatch):
+        splits, _ = toy_separable_task(np.random.default_rng(8), n_train=30, n_eval=10)
+        forks = _spy_on_fork(monkeypatch)
+        with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
+            run_regime(Regime(DIRECT_SMALL), splits, TrainingProtocol(), n_hidden=5,
+                       embed_dim=4, jobs=0, log_dir=tmp_path / "logs")
+        assert not (tmp_path / "logs").exists()
+        assert forks == []
+
+
+def _run_two_lane_regime(monkeypatch, learning_rates=(0.5, 0.1), fail_at=None, failure=None):
+    """A direct regime at jobs=2: the caller runs the first lane and
+    restart seeds 5 and 7, one forked copy the second lane and seed 6.
+    ``failure(cfg)`` runs in place of the restart trial of seed ``fail_at``."""
+    splits, _ = toy_separable_task(np.random.default_rng(8), n_train=40, n_eval=16)
+    protocol = TrainingProtocol(
+        learning_rates=learning_rates, decay_schemes=("constant",), dropout_rates=(0.0,),
+        batch_size=16, max_epochs=1, restart_seeds=(5, 6, 7),
+    )
+    real_train_trial = training.train_trial
+
+    def train_trial_failing_at_seed(factory, splits, cfg, *args):
+        if cfg.seed == fail_at:
+            failure(cfg)
+        return real_train_trial(factory, splits, cfg, *args)
+
+    monkeypatch.setattr(training, "train_trial", train_trial_failing_at_seed)
+    return run_regime(Regime(DIRECT_SMALL), splits, protocol, n_hidden=5, embed_dim=4, jobs=2)
+
+
+class TestRegimeLanesAreReaped:
+    """Whatever stops a regime, no lane process outlives it."""
+
+    def test_every_grid_trial_diverging_while_copies_wait(self, monkeypatch):
+        forks = _spy_on_fork(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="every grid trial failed"):
+            _run_two_lane_regime(monkeypatch, learning_rates=(1e40, 1e300))
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("seed", [6, 7], ids=["forked-share", "callers-share"])
+    def test_restart_error_reaches_the_caller(self, seed, monkeypatch):
+        def fail(cfg):
+            raise DataError(f"bad restart at seed {cfg.seed}")
+
+        forks = _spy_on_fork(monkeypatch)
+        with pytest.raises(DataError, match=f"^bad restart at seed {seed}$") as raised:
+            _run_two_lane_regime(monkeypatch, fail_at=seed, failure=fail)
+        assert type(raised.value) is DataError
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_copy_that_dies_in_its_restarts_is_an_error(self, monkeypatch):
+        forks = _spy_on_fork(monkeypatch)
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            _run_two_lane_regime(monkeypatch, fail_at=6, failure=lambda cfg: os._exit(1))
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestModelFactory:
