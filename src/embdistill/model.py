@@ -190,11 +190,6 @@ class ClassifierModel:
             np.copyto(saved, a)
         return into
 
-    def restore(self, arrays: list[np.ndarray]) -> None:
-        for (_, a), saved in zip(self.named_parameters(), arrays):
-            np.copyto(a, saved)
-        self.version += 1
-
 
 @dataclass
 class ForwardCache:

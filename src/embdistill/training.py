@@ -28,6 +28,7 @@ import ctypes
 import os
 import pickle
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -233,14 +234,15 @@ def train_trial(
 ) -> tuple[ClassifierModel, TrialResult]:
     """Train one configuration to its early-stopping point.
 
-    Keeps the parameters of the best-validation epoch in one snapshot
-    buffer, which each improving epoch overwrites (so each process of a
-    regime run holds at most four copies of the table: the caller's, the
-    best restart's, the trial's and its snapshot), and returns the model
-    restored to them; the test split is evaluated once, on the restored
-    model, so a later ``eval`` reproduces the reported accuracy.  The optional log
-    gets one tab-separated line per epoch: epoch, train_loss, valid_acc,
-    lr, seconds.
+    An epoch that follows the best epoch so far first copies the
+    parameters into the trial's one snapshot buffer, so a best last epoch
+    is never copied, and each process of a regime run holds at most four
+    copies of the table: the caller's, the best restart's, the trial's
+    and its snapshot.  Returns the trained model if its last epoch is the
+    best, else one built on the snapshot, with the test accuracy of that
+    model (so a later ``eval`` reproduces it).  The optional log gets one
+    tab-separated line per epoch: epoch, train_loss, valid_acc, lr,
+    seconds (the copy that opens the epoch included).
     """
     if _OPENBLAS is not None:
         _OPENBLAS.scipy_openblas_set_num_threads64_(ctypes.c_int(1))
@@ -258,6 +260,8 @@ def train_trial(
     for epoch in range(cfg.max_epochs):
         lr = decay(cfg.learning_rate, cfg.decay_scheme, epoch)
         epoch_start = time.perf_counter()
+        if epoch and best_epoch == epoch - 1:  # this epoch would train over the best
+            best_state = model.snapshot(into=best_state)
         loss = sgd_epoch(model, splits.train, lr, cfg.batch_size, train_rng, objective)
         valid_acc = evaluate_accuracy(model, splits.valid)
         train_losses.append(loss)
@@ -265,7 +269,6 @@ def train_trial(
         if valid_acc > best_valid:
             best_valid = valid_acc
             best_epoch = epoch
-            best_state = model.snapshot(into=best_state)
         log_lines.append(
             f"{epoch}\t{loss:.6f}\t{valid_acc:.6f}\t{lr:.6g}"
             f"\t{time.perf_counter() - epoch_start:.3f}"
@@ -274,7 +277,9 @@ def train_trial(
             break
 
     final_train_acc = evaluate_accuracy(model, splits.train)
-    model.restore(best_state)
+    if best_epoch < epoch:
+        names = [name for name, _ in model.named_parameters()]
+        model = factory.rebuild(cfg.dropout_rate, dict(zip(names, best_state)))
     # sgd_epoch checks each batch's loss before its update, never the
     # parameters after the last one; MDL1 stores float32
     limit = np.finfo(np.float32).max
@@ -289,17 +294,10 @@ def train_trial(
     if log_path is not None:
         with atomic_write(log_path, "w") as fh:
             fh.write("\n".join(log_lines) + "\n")
-    result = TrialResult(
-        config=cfg,
-        train_losses=train_losses,
-        valid_accuracies=valid_accs,
-        best_epoch=best_epoch,
-        test_accuracy=test_accuracy,
-        final_train_accuracy=final_train_acc,
-        seconds=seconds,
-        seed=cfg.seed,
-    )
-    return model, result
+    return model, TrialResult(
+        config=cfg, train_losses=train_losses, valid_accuracies=valid_accs, best_epoch=best_epoch,
+        test_accuracy=test_accuracy, final_train_accuracy=final_train_acc, seconds=seconds,
+        seed=cfg.seed)
 
 
 @dataclass
@@ -325,11 +323,7 @@ class TrainingProtocol:
         for seed in (self.grid_seed, *self.restart_seeds):
             if seed < 0:
                 raise ConfigError(f"seeds must be >= 0, got {seed}")
-        for scheme in self.decay_schemes:
-            if scheme not in DECAY_SCHEMES:
-                raise ConfigError(
-                    f"unknown decay scheme {scheme!r}, expected one of {DECAY_SCHEMES}"
-                )
+        self.grid_lanes()  # each grid point's TrainConfig checks its values
 
     def grid_lanes(self) -> list[list[TrainConfig]]:
         """The grid's points in (lr, scheme) lanes, lr then scheme in
@@ -388,6 +382,10 @@ def _run_grid_group(factory, splits, configs, objective, log_dir) -> list[GridEn
     return entries
 
 
+class RemoteTraceback(Exception):
+    """A forked copy's formatted traceback: the cause of the error it sent."""
+
+
 class LaneProcesses:
     """The processes that run a search's trials: the caller and ``n - 1``
     forked copies of it, made once and used for the grid lanes and then
@@ -397,10 +395,10 @@ class LaneProcesses:
     the fork, so nothing of them is pickled; it then serves requests from
     a pipe until the caller closes it.  A request carries only a share of
     grid lanes (``TrainConfig`` lists) or of restart seeds, and the copy
-    pickles back the share's result, or the exception that stopped it,
-    which the caller raises.  ``close`` (also on leaving a ``with`` block)
-    ends and reaps every copy, also when the caller's own share raised.
-    At ``n = 1`` nothing forks.
+    pickles back the share's result, or the exception that stopped it and
+    its traceback's text, which the caller raises it from.  ``close``
+    (also on leaving a ``with`` block) ends and reaps every copy, also
+    when the caller's own share raised.  At ``n = 1`` nothing forks.
     """
 
     def __init__(self, n: int, factory: ModelFactory, splits, objective, log_dir):
@@ -424,9 +422,15 @@ class LaneProcesses:
         self.close()
 
     def _fork(self) -> tuple:
-        request_fd, request_w = os.pipe()
-        reply_r, reply_fd = os.pipe()
-        pid = os.fork()
+        fds = [*os.pipe()]
+        try:
+            fds += os.pipe()
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        request_fd, request_w, reply_r, reply_fd = fds
         if pid == 0:
             try:
                 os.close(request_w)
@@ -451,9 +455,9 @@ class LaneProcesses:
                 except EOFError:
                     return
                 try:
-                    reply = getattr(self, method)(share, *args)
+                    reply = getattr(self, method)(share, *args), None
                 except BaseException as exc:
-                    reply = exc
+                    reply = exc, traceback.format_exc()
                 # protocol 5 streams an array's buffer as it is, without a
                 # copy on either side of the pipe
                 pickle.dump(reply, replies, protocol=5)
@@ -461,11 +465,11 @@ class LaneProcesses:
 
     def _receive(self, pid, replies):
         try:
-            reply = pickle.load(replies)
+            reply, remote_traceback = pickle.load(replies)
         except (EOFError, pickle.UnpicklingError):
             raise RuntimeError(f"lane process {pid} exited without a result") from None
-        if isinstance(reply, BaseException):
-            raise reply
+        if remote_traceback is not None:
+            raise reply from RemoteTraceback(remote_traceback)
         return reply
 
     def deal(self, method: str, items: list, *args):

@@ -1157,6 +1157,30 @@ class TestOptionsBelowTheirRange:
                        "--out", tmp_path / "out") == 0
 
 
+class TestGridValuesCheckedBeforeOutput:
+    """A grid value no training configuration accepts is a configuration
+    error (exit 2), raised before any output is written."""
+
+    @pytest.mark.parametrize("command", ["train", "distill"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--lr", "-1"], "learning rate must be >= 0, got -1.0"),
+        (["--dropout", "1.5"], "dropout_rate must be in [0, 1), got 1.5"),
+    ])
+    def test_exit_2_before_output(self, tmp_path, capsys, command, argv, message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_vectors(corpus / "large_vecs.txt", write_toy_corpus(corpus, n_train=30), dim=12)
+        data = prepare(corpus, tmp_path / "data")
+        source = (["--regime", "direct", "--embed-dim", "4"] if command == "train"
+                  else ["--embeddings", corpus / "large_vecs.txt", "--distill-dim", "4"])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(command, "--data", data, *source, "--epochs", "1", *argv,
+                       "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestSoftTargetsCheckedBeforeOutput:
     """Every check of matching softmax's soft targets runs before
     ``--out`` is made: a refused run exits 2, names what is wrong and

@@ -93,6 +93,14 @@ class TestTrainingProtocol:
         with pytest.raises(ConfigError, match="seeds must be >= 0, got -"):
             TrainingProtocol(**fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"learning_rates": (0.3, -1.0)}, "learning rate must be >= 0, got -1.0"),
+        ({"dropout_rates": (0.0, 1.5)}, r"dropout_rate must be in \[0, 1\), got 1.5"),
+    ])
+    def test_every_grid_point_is_checked_on_construction(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainingProtocol(**fields)
+
 
 def tiny_factory(rng_seed=0, n_classes=5, vocab_size=21, n_embed=6, n_hidden=5):
     del rng_seed
@@ -304,36 +312,68 @@ class TestTrainTrial:
         assert improvements >= 2  # a per-improvement evaluation would show
         assert sum(tested) == 1
 
+    def test_one_epoch_trial_copies_nothing(self, monkeypatch):
+        splits, table = synthetic_probe_task(seed=9, vocab_size=4000, big_dim=100,
+                                             seq_len=4, n_train=600)
+        factory = ModelFactory(ModelConfig(n_embed=100, n_hidden=20, n_classes=5, n_distill=10),
+                               table=table)
+        taken = _spy_on_snapshots(monkeypatch)
+        tracemalloc.start()
+        try:
+            train_trial(factory, splits, TrainConfig(learning_rate=1.0, max_epochs=1,
+                                                     batch_size=50, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taken == []
+        # the trial's table and the batches' gathered rows
+        assert peak < 1.5 * table.matrix.nbytes
+
+    def test_best_last_epoch_returns_the_trained_model(self, monkeypatch):
+        factory, splits = tiny_factory()
+        built = []
+        build = ModelFactory.build
+        monkeypatch.setattr(ModelFactory, "build",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        taken = _spy_on_snapshots(monkeypatch)
+        cfg = TrainConfig(learning_rate=0.5, max_epochs=3, batch_size=16, seed=2)
+        model, result = train_trial(factory, splits, cfg)
+        assert result.valid_accuracies == sorted(set(result.valid_accuracies))  # rising
+        assert len(taken) == 2  # opening epochs 1 and 2, none after the last
+        assert model is built[0]
+
+    def test_earlier_best_epoch_returns_the_snapshot_arrays(self, monkeypatch):
+        factory, splits = tiny_factory()
+        taken = _spy_on_snapshots(monkeypatch)
+        cfg = TrainConfig(learning_rate=0.5, max_epochs=6, batch_size=16, seed=2)
+        model, result = train_trial(factory, splits, cfg)
+        assert 0 < result.best_epoch < len(result.valid_accuracies) - 1
+        assert all(a is b for (_, a), b in zip(model.named_parameters(), taken[-1]))
+        assert model.embedding.matrix.flags.f_contiguous
+
     def test_improving_epochs_overwrite_one_snapshot(self, monkeypatch):
         factory, splits = tiny_factory()
         cfg = TrainConfig(learning_rate=0.5, max_epochs=6, batch_size=16, seed=2)
-        taken = []
-        snapshot = ClassifierModel.snapshot
-
-        def spy(model, *args, **kwargs):
-            taken.append(snapshot(model, *args, **kwargs))
-            return taken[-1]
-
-        monkeypatch.setattr(ClassifierModel, "snapshot", spy)
+        taken = _spy_on_snapshots(monkeypatch)
         train_trial(factory, splits, cfg)
         assert len(taken) >= 2
         assert all(saved is taken[0] for saved in taken)
 
     @pytest.mark.parametrize("n_distill", [0, 3])
-    def test_reused_snapshot_gives_the_bits_of_fresh_copies(self, n_distill, monkeypatch):
+    def test_reused_snapshot_gives_the_bits_of_fresh_copies(self, n_distill):
         _, splits = tiny_factory()
         config = ModelConfig(n_embed=6, n_hidden=5, n_classes=5, n_distill=n_distill)
         factory = ModelFactory(config, vocab=splits.vocab)
-        cfg = TrainConfig(learning_rate=0.5, max_epochs=6, batch_size=16,
-                          dropout_rate=0.2, seed=2)
-        reused, r1 = train_trial(factory, splits, cfg)
-        snapshot = ClassifierModel.snapshot
-        monkeypatch.setattr(ClassifierModel, "snapshot", lambda model, into=None: snapshot(model))
-        fresh, r2 = train_trial(factory, splits, cfg)
-        assert r1.best_epoch > 0
-        assert dataclasses.replace(r1, seconds=0.0) == dataclasses.replace(r2, seconds=0.0)
-        for (name, a), (_, b) in zip(reused.named_parameters(), fresh.named_parameters()):
-            assert np.array_equal(a, b), name
+        # 3 epochs end on the best one; of 6, the best is epoch 2
+        for max_epochs, best_epoch in ((3, 2), (6, 2)):
+            cfg = TrainConfig(learning_rate=0.5, max_epochs=max_epochs, batch_size=16,
+                              dropout_rate=0.2, seed=2)
+            reused, r1 = train_trial(factory, splits, cfg)
+            fresh, r2 = _snapshot_then_restore(factory, splits, cfg)
+            assert r1.best_epoch == best_epoch
+            assert dataclasses.replace(r1, seconds=0.0) == r2
+            for (name, a), (_, b) in zip(reused.named_parameters(), fresh.named_parameters()):
+                assert np.array_equal(a, b), name
 
     def test_traced_peak_holds_the_table_twice_not_three_times(self):
         splits, table = synthetic_probe_task(seed=9, vocab_size=4000, big_dim=100,
@@ -385,6 +425,41 @@ class TestTrainTrial:
             assert int(fields[0]) == epoch
             float(fields[1]), float(fields[2]), float(fields[4])
             assert float(fields[3]) == decay(0.5, "halve_every_3", epoch)
+
+
+def _spy_on_snapshots(monkeypatch) -> list:
+    """Record every ``ClassifierModel.snapshot`` result; returns the list."""
+    taken = []
+    snapshot = ClassifierModel.snapshot
+
+    def spy(model, *args, **kwargs):
+        taken.append(snapshot(model, *args, **kwargs))
+        return taken[-1]
+
+    monkeypatch.setattr(ClassifierModel, "snapshot", spy)
+    return taken
+
+
+def _snapshot_then_restore(factory, splits, cfg):
+    """``train_trial`` without a log, as a fresh copy of every improving
+    epoch, copied back into the trained model at the end."""
+    model = factory.build(cfg.seed, cfg.dropout_rate)
+    rng = np.random.default_rng([cfg.seed, 1])
+    losses, accs, best, saved = [], [], -1, None
+    for epoch in range(cfg.max_epochs):
+        lr = decay(cfg.learning_rate, cfg.decay_scheme, epoch)
+        losses.append(sgd_epoch(model, splits.train, lr, cfg.batch_size, rng))
+        accs.append(evaluate_accuracy(model, splits.valid))
+        if accs[-1] > max(accs[:-1], default=-1.0):
+            best, saved = epoch, [np.copy(a) for _, a in model.named_parameters()]
+        if epoch - best >= cfg.patience:
+            break
+    final_train_accuracy = evaluate_accuracy(model, splits.train)
+    for (_, a), b in zip(model.named_parameters(), saved):
+        np.copyto(a, b)
+    test_accuracy = evaluate_accuracy(model, splits.test)
+    return model, training.TrialResult(cfg, losses, accs, best, test_accuracy,
+                                       final_train_accuracy, 0.0, cfg.seed)
 
 
 def _one_blas_thread_objective(model, samples, indices, rng):
@@ -809,6 +884,30 @@ class TestRegimeLanesAreReaped:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_copy_error_is_raised_from_the_copys_traceback(self, monkeypatch):
+        def fail(cfg):
+            raise DataError(f"bad restart at seed {cfg.seed}")
+
+        with pytest.raises(DataError, match="^bad restart at seed 6$") as raised:
+            _run_two_lane_regime(monkeypatch, fail_at=6, failure=fail)
+        assert type(raised.value) is DataError
+        cause = raised.value.__cause__
+        assert "in train_trial_failing_at_seed" in str(cause)
+        assert type(cause) is training.RemoteTraceback
+        assert str(cause).endswith("DataError: bad restart at seed 6\n")
+
+    def test_failed_fork_closes_its_pipes(self, monkeypatch):
+        factory, splits = tiny_factory()
+
+        def fork():
+            raise OSError("no fork here")
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="no fork here"):
+            training.LaneProcesses(2, factory, splits, None, None)
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_copy_that_dies_in_its_restarts_is_an_error(self, monkeypatch):
         forks = _spy_on_fork(monkeypatch)
